@@ -77,7 +77,7 @@ struct RunStats {
     /// Bytes written to the disk spill tier, summed over every submission.
     spilled_bytes: usize,
     /// Submissions that degraded instead of failing their budget: spilled
-    /// to disk, or retried at a lower UoT.
+    /// to disk.
     degraded_queries: usize,
 }
 
@@ -123,8 +123,7 @@ fn drive(service: &QueryService, clients: usize, rounds: usize, opts: &ExecOptio
                             fused: result.metrics.fused_pipelines,
                             staged: result.metrics.staged_pipelines,
                             spilled_bytes: result.metrics.spilled_bytes,
-                            degraded: result.metrics.spill_events > 0
-                                || !result.metrics.degradations.is_empty(),
+                            degraded: result.metrics.spill_events > 0,
                         });
                     }
                     lat

@@ -1,50 +1,48 @@
-//! The engine facade: configuration, execution, results.
+//! The engine facade: configuration, execution, results — and the one query
+//! lifecycle both front doors share.
+//!
+//! [`Engine`] runs a single query on the caller's thread (or a scoped worker
+//! pool); [`QueryService`](crate::service::QueryService) multiplexes many
+//! over a shared pool. Either way a query goes through the same three
+//! steps: `EngineConfig::resolve` layers the per-run [`ExecOptions`] over
+//! the front door's defaults, `prepare` builds everything the query needs
+//! to run, and `PreparedQuery::finish` settles and tears it down. Only the
+//! dispatch loop in between differs.
 
 use crate::cancel::CancellationToken;
 use crate::error::EngineError;
 use crate::exec_options::ExecOptions;
 use crate::fault::FaultPlan;
 use crate::fusion::FusionPolicy;
-use crate::metrics::{Degradation, QueryMetrics};
-use crate::obs::hub::{HubCounter, HubHistogram, HubObserver, MaybeHubObserver, MetricsHub};
-use crate::obs::observer::MaybeTracingObserver;
-use crate::obs::{CompositeObserver, ExplainAnalyze, TracingObserver};
-use crate::plan::{OperatorKind, QueryPlan};
-use crate::scheduler::{run_query, MetricsObserver, SchedulerConfig};
+use crate::metrics::QueryMetrics;
+use crate::obs::hub::{HubCounter, HubHistogram, HubObserver, MetricsHub};
+use crate::obs::{CompositeObserver, ExplainAnalyze, LiveQuery, TracingObserver};
+use crate::plan::QueryPlan;
+use crate::query_id::QueryId;
+use crate::scheduler::{MetricsObserver, QueryRun, SchedulerConfig};
+use crate::spill::EngineSpillHook;
 use crate::state::ExecContext;
-use crate::trace::{Trace, TraceEvent, TraceEventKind, TraceSink, DEFAULT_TRACE_CAPACITY};
+use crate::trace::{Trace, TraceSink, DEFAULT_TRACE_CAPACITY};
 use crate::uot::Uot;
 use crate::Result;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use uot_sql::{CacheStats, PlanCache};
-use uot_storage::{
-    BlockFormat, BlockPool, Catalog, MemoryTracker, Schema, StorageBlock, StorageError, Value,
-};
+use uot_storage::{BlockFormat, BlockPool, Catalog, MemoryTracker, Schema, StorageBlock, Value};
 
 pub use crate::scheduler::ExecMode;
 
 /// What to do when a query trips its memory budget.
-///
-/// A lower UoT drains intermediates sooner (the paper's Section VI footprint
-/// argument), so degrading the transfer unit is the natural first response
-/// to memory pressure. [`DegradePolicy::Spill`] goes further: it arms a
-/// disk-backed second tier up front, so a working set beyond the budget
-/// degrades to out-of-core execution instead of a terminal error.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DegradePolicy {
     /// Surface [`EngineError::BudgetExceeded`] to the caller (default).
     #[default]
     Off,
-    /// Retry once with the default UoT halved toward [`Uot::LOW`]; the
-    /// degradation is recorded in [`QueryMetrics::degradations`].
-    LowerUot,
     /// Arm the disk spill tier: cold staged edge blocks evict to temp files
     /// under pressure (faulting back in at transfer time), joins whose build
     /// side is estimated past the budget run as grace/partitioned hash joins,
     /// and fusion is disabled so every edge stays evictable. If the budget
-    /// still trips, fall back to one [`DegradePolicy::LowerUot`]-style retry
-    /// (spill is tried *before* lowering the UoT).
+    /// still trips, the query fails with [`EngineError::BudgetExceeded`].
     Spill,
 }
 
@@ -98,7 +96,7 @@ pub struct EngineConfig {
     pub deadline: Option<Duration>,
     /// Structured tracing: `Some` records every scheduler/work-order event
     /// into a per-query [`Trace`] returned on [`QueryResult::trace`]. `None`
-    /// (the default) leaves the untraced fast path untouched.
+    /// (the default) records nothing.
     pub trace: Option<TraceConfig>,
     /// Fused-pipeline policy: whether eligible select/probe/aggregate chains
     /// run as single push-based loops (UoT -> 0) instead of staging blocks
@@ -108,7 +106,7 @@ pub struct EngineConfig {
     /// Always-on live metrics: when set, every execution streams its
     /// scheduler events into this [`MetricsHub`] (counters + log-bucketed
     /// histograms) in addition to the per-query [`QueryMetrics`]. `None`
-    /// (the default) keeps the untraced fast path observer-free.
+    /// (the default) leaves the hub layer of the observer stack empty.
     pub hub: Option<Arc<MetricsHub>>,
 }
 
@@ -204,11 +202,55 @@ impl EngineConfig {
 
     /// Enable structured tracing: every execution records a [`Trace`]
     /// (returned on [`QueryResult::trace`]) that the exporters under
-    /// [`crate::obs`] turn into Chrome `trace_event` JSON, Prometheus-style
-    /// snapshots, and per-edge UoT-occupancy timelines.
+    /// [`crate::obs`] turn into Chrome `trace_event` JSON and per-edge
+    /// UoT-occupancy timelines.
     pub fn tracing(mut self, trace: TraceConfig) -> Self {
         self.trace = Some(trace);
         self
+    }
+
+    /// Layer per-run [`ExecOptions`] over this configuration: the single
+    /// place every execution funnels through, from either front door, so a
+    /// knob behaves identically no matter which entry point set it.
+    pub(crate) fn resolve(&self, plan: QueryPlan, opts: &ExecOptions) -> (EngineConfig, QueryPlan) {
+        let mut cfg = self.clone();
+        let mut plan = plan;
+        if let Some(uot) = opts.uot {
+            cfg.default_uot = uot;
+            plan = plan.with_uniform_uot(uot);
+        }
+        if let Some(deadline) = opts.deadline {
+            cfg.deadline = Some(deadline);
+        }
+        if let Some(reservation) = opts.reservation {
+            cfg.memory_budget = Some(reservation);
+        }
+        if opts.trace && cfg.trace.is_none() {
+            cfg.trace = Some(TraceConfig::default());
+        }
+        if let Some(fusion) = opts.fusion {
+            cfg.fusion = fusion;
+        }
+        if let Some(degrade) = opts.degrade {
+            cfg.degrade = degrade;
+        }
+        (cfg, plan)
+    }
+
+    /// The scheduler knobs this configuration implies.
+    pub(crate) fn scheduler(&self) -> SchedulerConfig {
+        SchedulerConfig {
+            mode: self.mode,
+            default_uot: self.default_uot.normalized(),
+            max_dop_per_op: self.max_dop_per_op,
+            deadline: self.deadline,
+        }
+    }
+
+    /// Reject a configuration `plan` cannot run under (see
+    /// [`SchedulerConfig::validate`]).
+    pub(crate) fn validate(&self, plan: &QueryPlan) -> Result<()> {
+        self.scheduler().validate(Some(plan), self.block_bytes)
     }
 }
 
@@ -248,6 +290,16 @@ impl QueryResult {
         let mut rows = self.rows();
         rows.sort_by(|a, b| crate::ops::aggregate::cmp_value_rows(a, b));
         rows
+    }
+
+    /// The `EXPLAIN ANALYZE` form of this result: the rendered plan tree
+    /// replaces the rows, while the metrics, trace and
+    /// [`QueryResult::explain`] stay attached.
+    pub(crate) fn into_explain_rows(mut self) -> Self {
+        if let Some(ex) = &self.explain {
+            (self.schema, self.blocks) = ex.result_blocks();
+        }
+        self
     }
 }
 
@@ -295,134 +347,44 @@ impl Engine {
         self.plan_cache.stats()
     }
 
-    /// Validate the configuration against `plan` before running anything.
-    /// Catches mistakes that would otherwise surface as confusing mid-query
-    /// failures: a worker pool of zero threads, or temporary blocks too
-    /// small to hold even one output tuple of some operator.
-    fn validate(&self, plan: &QueryPlan) -> Result<()> {
-        if let ExecMode::Parallel { workers: 0 } = self.config.mode {
-            return Err(EngineError::Config(
-                "parallel mode requires at least 1 worker (got workers=0)".into(),
-            ));
-        }
-        if let Some(0) = self.config.max_dop_per_op {
-            return Err(EngineError::Config(
-                "max_dop_per_op=0 would make every operator unschedulable".into(),
-            ));
-        }
-        for (id, op) in plan.ops().iter().enumerate() {
-            // Builds materialize into hash tables, not pool blocks; every
-            // other operator writes output tuples into `block_bytes`-sized
-            // temporaries and needs room for at least one tuple.
-            if matches!(op.kind, OperatorKind::BuildHash { .. }) {
-                continue;
-            }
-            let width = op.out_schema.tuple_width();
-            if width > self.config.block_bytes {
-                return Err(EngineError::Config(format!(
-                    "block_bytes={} cannot hold one {}-byte tuple of op{} ({})",
-                    self.config.block_bytes, width, id, op.name
-                )));
-            }
-        }
-        Ok(())
-    }
-
-    /// Layer per-run [`ExecOptions`] over this engine's configuration: the
-    /// single place every execution entry point funnels through, so a knob
-    /// behaves identically no matter which method set it.
-    fn apply_options(&self, plan: QueryPlan, opts: &ExecOptions) -> (EngineConfig, QueryPlan) {
-        let mut cfg = self.config.clone();
-        let mut plan = plan;
-        if let Some(uot) = opts.uot {
-            cfg.default_uot = uot;
-            plan = plan.with_uniform_uot(uot);
-        }
-        if let Some(deadline) = opts.deadline {
-            cfg.deadline = Some(deadline);
-        }
-        if let Some(reservation) = opts.reservation {
-            cfg.memory_budget = Some(reservation);
-        }
-        if opts.trace && cfg.trace.is_none() {
-            cfg.trace = Some(TraceConfig::default());
-        }
-        if let Some(fusion) = opts.fusion {
-            cfg.fusion = fusion;
-        }
-        if let Some(degrade) = opts.degrade {
-            cfg.degrade = degrade;
-        }
-        (cfg, plan)
-    }
-
     /// Execute `plan` and return the materialized result.
     pub fn execute(&self, plan: QueryPlan) -> Result<QueryResult> {
         self.execute_with(plan, ExecOptions::default())
     }
 
     /// Execute `plan` with per-run [`ExecOptions`] layered over the engine
-    /// configuration — the unified entry every other `execute_*` routes
-    /// through.
+    /// configuration — the entry every other `execute*` routes through. To
+    /// cancel a query mid-run from another thread, submit it to a
+    /// [`QueryService`](crate::service::QueryService) and use
+    /// [`QueryHandle::cancel`](crate::service::QueryHandle::cancel).
     pub fn execute_with(&self, plan: QueryPlan, opts: ExecOptions) -> Result<QueryResult> {
-        let faults = opts
-            .faults
-            .clone()
-            .unwrap_or_else(|| Arc::new(FaultPlan::empty()));
-        let (cfg, plan) = self.apply_options(plan, &opts);
-        Engine::new(cfg).execute_governed(plan, CancellationToken::new(), faults)
-    }
-
-    /// Execute `plan` with a deterministic [`FaultPlan`] active (test-only
-    /// harness; an empty plan is a no-op and the default for [`Self::execute`]).
-    pub fn execute_with_faults(
-        &self,
-        plan: QueryPlan,
-        faults: Arc<FaultPlan>,
-    ) -> Result<QueryResult> {
-        self.execute_with(plan, ExecOptions::default().with_faults(faults))
-    }
-
-    /// Execute `plan` on a background thread and hand back the
-    /// [`CancellationToken`] governing it. Calling `cancel()` stops the query
-    /// at its next cancellation point; the join handle then yields
-    /// [`EngineError::Cancelled`] with the authoritative elapsed time and
-    /// completed-work-order count.
-    pub fn run_cancellable(
-        &self,
-        plan: QueryPlan,
-    ) -> (
-        CancellationToken,
-        std::thread::JoinHandle<Result<QueryResult>>,
-    ) {
-        self.run_cancellable_with(plan, ExecOptions::default())
-    }
-
-    /// [`Self::run_cancellable`] with per-run [`ExecOptions`].
-    pub fn run_cancellable_with(
-        &self,
-        plan: QueryPlan,
-        opts: ExecOptions,
-    ) -> (
-        CancellationToken,
-        std::thread::JoinHandle<Result<QueryResult>>,
-    ) {
-        let faults = opts
-            .faults
-            .clone()
-            .unwrap_or_else(|| Arc::new(FaultPlan::empty()));
-        let (cfg, plan) = self.apply_options(plan, &opts);
-        let token = CancellationToken::new();
-        let worker_token = token.clone();
-        let handle = std::thread::spawn(move || {
-            Engine::new(cfg).execute_governed(plan, worker_token, faults)
+        let submitted = Instant::now();
+        let (cfg, plan) = self.config.resolve(plan, &opts);
+        if let Some(hub) = &cfg.hub {
+            hub.add(HubCounter::QueriesSubmitted, 1);
+        }
+        let prepared = cfg.validate(&plan).and_then(|()| {
+            prepare(
+                &cfg,
+                plan,
+                MemoryTracker::new(),
+                QueryId::SOLO,
+                CancellationToken::new(),
+                opts.faults,
+                false,
+            )
         });
-        (token, handle)
-    }
-
-    /// Execute `plan` with a one-off UoT override on every edge.
-    pub fn execute_with_uot(&self, plan: QueryPlan, uot: Uot) -> Result<QueryResult> {
-        self.execute_with(plan, ExecOptions::default().with_uot(uot))
+        let mut query = match prepared {
+            Ok(query) => query,
+            Err(e) => {
+                if let Some(hub) = &cfg.hub {
+                    hub.add(HubCounter::QueriesFailed, 1);
+                }
+                return Err(e);
+            }
+        };
+        query.run.drive(cfg.mode);
+        query.finish(submitted)
     }
 
     /// Compile and execute a SQL statement against the attached catalog.
@@ -441,19 +403,10 @@ impl Engine {
     /// replaced by the rendered [`ExplainAnalyze`] tree. The real metrics,
     /// trace and [`QueryResult::explain`] stay attached.
     pub fn execute_sql_with(&self, sql: &str, opts: ExecOptions) -> Result<QueryResult> {
-        if let Some(inner) = uot_sql::strip_explain_analyze(sql) {
-            let mut result = self.execute_sql_plain(inner, opts)?;
-            if let Some(ex) = &result.explain {
-                let (schema, blocks) = ex.result_blocks();
-                result.schema = schema;
-                result.blocks = blocks;
-            }
-            return Ok(result);
-        }
-        self.execute_sql_plain(sql, opts)
-    }
-
-    fn execute_sql_plain(&self, sql: &str, opts: ExecOptions) -> Result<QueryResult> {
+        let (sql, explain) = match uot_sql::strip_explain_analyze(sql) {
+            Some(inner) => (inner, true),
+            None => (sql, false),
+        };
         let catalog = self.catalog.as_ref().ok_or_else(|| {
             EngineError::Config(
                 "engine has no catalog to resolve SQL against; use Engine::with_catalog".into(),
@@ -464,210 +417,179 @@ impl Engine {
             .get_or_compile(sql, || crate::sql::compile(sql, catalog))?;
         let mut result = self.execute_with((*plan).clone(), opts)?;
         result.metrics.plan_cache = Some(outcome);
-        Ok(result)
-    }
-
-    /// Execution with resource governance: one attempt at the configured UoT
-    /// and, if that trips the memory budget under [`DegradePolicy::LowerUot`],
-    /// exactly one retry at a degraded (halved-toward-[`Uot::LOW`]) UoT with
-    /// the degradation recorded in the metrics.
-    fn execute_governed(
-        &self,
-        plan: QueryPlan,
-        token: CancellationToken,
-        faults: Arc<FaultPlan>,
-    ) -> Result<QueryResult> {
-        let result = self.execute_governed_inner(plan, token, faults);
-        if let Some(hub) = &self.config.hub {
-            hub.add(HubCounter::QueriesSubmitted, 1);
-            match &result {
-                Ok(r) => {
-                    hub.add(HubCounter::QueriesCompleted, 1);
-                    hub.record(
-                        HubHistogram::QueryLatencyUs,
-                        r.metrics.wall_time.as_micros() as u64,
-                    );
-                }
-                Err(EngineError::Cancelled { .. }) => hub.add(HubCounter::QueriesCancelled, 1),
-                Err(_) => hub.add(HubCounter::QueriesFailed, 1),
-            }
-        }
-        result
-    }
-
-    fn execute_governed_inner(
-        &self,
-        plan: QueryPlan,
-        token: CancellationToken,
-        faults: Arc<FaultPlan>,
-    ) -> Result<QueryResult> {
-        let from = self.config.default_uot.normalized();
-        match self.execute_once(
-            plan.clone(),
-            from,
-            self.config.fusion,
-            token.clone(),
-            faults.clone(),
-        ) {
-            Err(e)
-                if is_budget_error(&e)
-                    && matches!(
-                        self.config.degrade,
-                        DegradePolicy::LowerUot | DegradePolicy::Spill
-                    ) =>
-            {
-                let Some(to) = from.degrade() else {
-                    // Already at the lowest UoT: nothing left to shed.
-                    return Err(e);
-                };
-                // The retry runs under memory pressure: re-plan with fusion
-                // off so the degraded UoT actually governs every edge and no
-                // fused loop allocates gather scratch on the hot path.
-                let mut result = self.execute_once(
-                    plan.with_uniform_uot(to),
-                    to,
-                    FusionPolicy::Never,
-                    token,
-                    faults,
-                )?;
-                result.metrics.degradations.push(Degradation { from, to });
-                // The retry's trace starts fresh; prepend the degradation so
-                // a trace reader sees why this attempt ran at a lower UoT.
-                if let Some(trace) = &mut result.trace {
-                    trace.events.insert(
-                        0,
-                        TraceEvent {
-                            t: Duration::ZERO,
-                            kind: TraceEventKind::Degraded { from, to },
-                        },
-                    );
-                }
-                Ok(result)
-            }
-            other => other,
-        }
-    }
-
-    /// One execution attempt: fresh tracker + (budgeted) pool, the query's
-    /// cancellation token and fault plan installed on the [`ExecContext`].
-    fn execute_once(
-        &self,
-        plan: QueryPlan,
-        uot: Uot,
-        fusion: FusionPolicy,
-        token: CancellationToken,
-        faults: Arc<FaultPlan>,
-    ) -> Result<QueryResult> {
-        self.validate(&plan)?;
-        let tracker = MemoryTracker::new();
-        let pool = BlockPool::with_budget(
-            tracker.clone(),
-            self.config.memory_budget.unwrap_or(usize::MAX),
-        );
-        pool.set_reuse_enabled(self.config.pool_reuse);
-        let plan = Arc::new(plan);
-        let schema = plan.result_schema().clone();
-        let sink = self
-            .config
-            .trace
-            .as_ref()
-            .map(|tc| TraceSink::new(tc.capacity));
-        // Spill only makes sense against a finite budget: with no budget the
-        // pool never feels pressure and the tier would just be dead weight.
-        let spill_enabled =
-            self.config.degrade == DegradePolicy::Spill && self.config.memory_budget.is_some();
-        if spill_enabled {
-            let store = uot_storage::SpillStore::new(None, tracker.clone())?;
-            store.set_observer(crate::spill::EngineSpillHook::with_telemetry(
-                Some(faults.clone()),
-                sink.clone(),
-                tracker.clone(),
-                self.config.hub.clone(),
-                None,
-            ));
-            pool.enable_spill(store);
-        }
-        let mut ctx = ExecContext::new(
-            plan,
-            pool,
-            self.config.temp_format,
-            self.config.block_bytes,
-            self.config.hash_table_shards,
-        )?
-        .with_cancellation(token)
-        .with_faults(faults);
-        if let Some(sink) = &sink {
-            ctx = ctx.with_trace(sink.clone());
-        }
-        if spill_enabled {
-            ctx.plan_grace(self.config.memory_budget.unwrap_or(usize::MAX));
-        }
-        // With the spill tier armed, fused chains would pin their interior
-        // blocks and hash tables resident (nothing stages, nothing evicts);
-        // fall back to staged execution so every edge stays evictable.
-        let fusion = if spill_enabled {
-            FusionPolicy::Never
+        Ok(if explain {
+            result.into_explain_rows()
         } else {
-            fusion
-        };
-        let fusion_state = crate::fusion::plan_fusion(
-            &ctx.plan,
-            fusion,
-            self.config.mode.workers(),
-            self.config.block_bytes,
-            uot.normalized(),
-        );
-        let ctx = Arc::new(ctx.with_fusion(fusion_state));
-        let sched = SchedulerConfig {
-            mode: self.config.mode,
-            default_uot: uot.normalized(),
-            max_dop_per_op: self.config.max_dop_per_op,
-            deadline: self.config.deadline,
-        };
-        let (blocks, metrics) = if sink.is_none() && self.config.hub.is_none() {
-            // Untraced, no hub: the default metrics observer, no composition.
-            crate::scheduler::run(ctx.clone(), sched)?
-        } else {
-            // Metrics + hub + tracing fan out through one observer stack;
-            // absent layers are `None` and cost a branch per event.
-            let hub = self
-                .config
-                .hub
-                .as_ref()
-                .map(|hub| HubObserver::new(hub.clone(), tracker.clone()));
-            let observer = CompositeObserver::new(
-                MetricsObserver::new(&ctx.plan),
-                CompositeObserver::new(
-                    MaybeHubObserver(hub),
-                    MaybeTracingObserver(sink.clone().map(TracingObserver::new)),
-                ),
-            );
-            run_query(ctx.clone(), sched, observer).map_err(|f| f.error)?
-        };
-        let trace =
-            sink.map(|s| s.finish(ctx.plan.ops().iter().map(|op| op.name.clone()).collect()));
-        let explain = Some(ExplainAnalyze::build(&ctx.plan, &metrics));
-        Ok(QueryResult {
-            schema,
-            blocks,
-            metrics,
-            trace,
-            explain,
+            result
         })
     }
 }
 
-/// Does `e` mean the memory budget was hit? (Either the operator-attributed
-/// engine variant or a raw storage error that escaped attribution.)
-fn is_budget_error(e: &EngineError) -> bool {
-    matches!(e, EngineError::BudgetExceeded { .. })
-        || matches!(e, EngineError::Storage(StorageError::BudgetExceeded { .. }))
+/// The observer stack every query runs under, whichever front door admitted
+/// it: metrics always, the live hub and tracing when installed.
+pub(crate) type QueryObserver = CompositeObserver<
+    MetricsObserver,
+    CompositeObserver<Option<HubObserver>, Option<TracingObserver>>,
+>;
+
+/// A query set up by [`prepare`] and ready to drive.
+pub(crate) struct PreparedQuery {
+    /// The scheduling core plus its dispatch bookkeeping.
+    pub(crate) run: QueryRun<QueryObserver>,
+    /// The query's live-registry record, when the front door keeps one.
+    pub(crate) live: Option<Arc<LiveQuery>>,
+    schema: Arc<Schema>,
+    sink: Option<Arc<TraceSink>>,
+    hub: Option<Arc<MetricsHub>>,
+}
+
+/// The one setup path: build everything `plan` needs to run under `cfg`,
+/// for [`Engine`] and [`QueryService`](crate::service::QueryService) alike —
+/// the budgeted pool over `tracker` (plain standalone, parented under the
+/// service-wide tracker in a service), the spill tier, the [`ExecContext`]
+/// with grace planning, the fusion decision, the observer stack and the
+/// scheduling core. `live` asks for a live-registry record.
+pub(crate) fn prepare(
+    cfg: &EngineConfig,
+    plan: QueryPlan,
+    tracker: Arc<MemoryTracker>,
+    query: QueryId,
+    token: CancellationToken,
+    faults: Option<Arc<FaultPlan>>,
+    live: bool,
+) -> Result<PreparedQuery> {
+    let budget = cfg.memory_budget.unwrap_or(usize::MAX);
+    let pool = BlockPool::with_budget(tracker.clone(), budget);
+    pool.set_reuse_enabled(cfg.pool_reuse);
+    let plan = Arc::new(plan);
+    let schema = plan.result_schema().clone();
+    let sink = cfg.trace.map(|tc| TraceSink::for_query(tc.capacity, query));
+    // Progress, occupancy and spill activity stream into the live record
+    // from the observer stack and the spill hook, while the HTTP endpoint
+    // and the watchdog read it concurrently.
+    let live = live.then(|| {
+        LiveQuery::new(
+            query,
+            plan.ops()[plan.sink()].name.clone(),
+            budget,
+            cfg.deadline,
+            tracker.clone(),
+            sink.clone(),
+            plan.len(),
+        )
+    });
+    // Spill only makes sense against a finite budget: with no budget the
+    // pool never feels pressure and the tier would just be dead weight.
+    // Evicted bytes come off the query's own tracker, so only resident
+    // bytes count toward its budget (and, in a service, the global one).
+    let spill = cfg.degrade == DegradePolicy::Spill && cfg.memory_budget.is_some();
+    if spill {
+        let store = uot_storage::SpillStore::new(None, tracker.clone())?;
+        store.set_observer(EngineSpillHook::with_telemetry(
+            faults.clone(),
+            sink.clone(),
+            tracker.clone(),
+            cfg.hub.clone(),
+            live.clone(),
+        ));
+        pool.enable_spill(store);
+    }
+    let mut ctx = ExecContext::new(
+        plan,
+        pool,
+        cfg.temp_format,
+        cfg.block_bytes,
+        cfg.hash_table_shards,
+    )?
+    .with_query(query)
+    .with_cancellation(token);
+    if let Some(faults) = faults {
+        ctx = ctx.with_faults(faults);
+    }
+    if let Some(sink) = &sink {
+        ctx = ctx.with_trace(sink.clone());
+    }
+    if spill {
+        ctx.plan_grace(budget);
+    }
+    let sched = cfg.scheduler();
+    // With the spill tier armed, fused chains would pin their interior
+    // blocks and hash tables resident (nothing stages, nothing evicts);
+    // fall back to staged execution so every edge stays evictable.
+    let fusion = crate::fusion::plan_fusion(
+        &ctx.plan,
+        if spill {
+            FusionPolicy::Never
+        } else {
+            cfg.fusion
+        },
+        sched.mode.workers(),
+        cfg.block_bytes,
+        sched.default_uot,
+    );
+    let ctx = Arc::new(ctx.with_fusion(fusion));
+    let hub = cfg.hub.as_ref().map(|hub| {
+        let observer = HubObserver::new(hub.clone(), tracker);
+        match &live {
+            Some(live) => observer.with_live(live.clone()),
+            None => observer,
+        }
+    });
+    let observer = CompositeObserver::new(
+        MetricsObserver::new(&ctx.plan),
+        CompositeObserver::new(hub, sink.clone().map(TracingObserver::new)),
+    );
+    Ok(PreparedQuery {
+        run: QueryRun::new(ctx, sched, observer),
+        live,
+        schema,
+        sink,
+        hub: cfg.hub.clone(),
+    })
+}
+
+impl PreparedQuery {
+    /// The one teardown: settle the outcome (error precedence, results and
+    /// metrics, every charged byte released), freeze the trace, build the
+    /// `EXPLAIN ANALYZE` tree, and count the outcome and its end-to-end
+    /// latency since `submitted` in the hub.
+    pub(crate) fn finish(self, submitted: Instant) -> Result<QueryResult> {
+        let plan = self.run.ctx.plan.clone();
+        let result = match self.run.finish() {
+            Ok((blocks, metrics)) => Ok(QueryResult {
+                schema: self.schema,
+                trace: self
+                    .sink
+                    .map(|s| s.finish(plan.ops().iter().map(|op| op.name.clone()).collect())),
+                explain: Some(ExplainAnalyze::build(&plan, &metrics)),
+                blocks,
+                metrics,
+            }),
+            Err(failed) => Err(failed.error),
+        };
+        if let Some(hub) = &self.hub {
+            hub.add(
+                match &result {
+                    Ok(_) => HubCounter::QueriesCompleted,
+                    Err(EngineError::Cancelled { .. }) => HubCounter::QueriesCancelled,
+                    Err(_) => HubCounter::QueriesFailed,
+                },
+                1,
+            );
+            hub.record(
+                HubHistogram::QueryLatencyUs,
+                submitted.elapsed().as_micros() as u64,
+            );
+        }
+        result
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::plan::{JoinType, PlanBuilder, SortKey, Source};
+    use crate::trace::TraceEventKind;
     use uot_expr::{cmp, col, lit, AggSpec, CmpOp};
     use uot_storage::{DataType, Table, TableBuilder};
 
@@ -752,9 +674,11 @@ mod tests {
     }
 
     #[test]
-    fn execute_with_uot_overrides() {
+    fn uot_option_overrides_the_default() {
         let engine = Engine::new(EngineConfig::serial());
-        let r = engine.execute_with_uot(plan(), Uot::Table).unwrap();
+        let r = engine
+            .execute_with(plan(), ExecOptions::default().with_uot(Uot::Table))
+            .unwrap();
         assert_eq!(r.rows().len(), 1);
     }
 
@@ -849,7 +773,7 @@ mod tests {
             .with_uot(Uot::Table)
             .with_temp_format(BlockFormat::Column)
             .with_memory_budget(Some(4096))
-            .with_degrade(DegradePolicy::LowerUot)
+            .with_degrade(DegradePolicy::Spill)
             .with_deadline(Some(Duration::from_secs(5)))
             .with_fusion(FusionPolicy::Always);
         assert_eq!(c.block_bytes, 512);
@@ -857,7 +781,7 @@ mod tests {
         assert_eq!(c.temp_format, BlockFormat::Column);
         assert_eq!(c.mode, ExecMode::Serial);
         assert_eq!(c.memory_budget, Some(4096));
-        assert_eq!(c.degrade, DegradePolicy::LowerUot);
+        assert_eq!(c.degrade, DegradePolicy::Spill);
         assert_eq!(c.deadline, Some(Duration::from_secs(5)));
         assert_eq!(c.fusion, FusionPolicy::Always);
         assert_eq!(EngineConfig::default().fusion, FusionPolicy::Auto);
@@ -865,7 +789,7 @@ mod tests {
         assert_eq!(c.mode, ExecMode::Parallel { workers: 7 });
     }
 
-    // --- hardening: budgets, degradation, cancellation, fault injection ---
+    // --- hardening: budgets, spill, cancellation, fault injection ---
 
     /// Pass-through filter into a scalar aggregate: under `Uot::Table` all
     /// 25 filter output blocks (96 B each) stage at once; under a low UoT
@@ -911,25 +835,6 @@ mod tests {
             }
             other => panic!("expected BudgetExceeded, got {other}"),
         }
-    }
-
-    #[test]
-    fn lower_uot_degradation_completes_and_is_recorded() {
-        let cfg = EngineConfig::serial()
-            .with_uot(Uot::Table)
-            .with_block_bytes(96)
-            .with_memory_budget(Some(600))
-            .with_degrade(DegradePolicy::LowerUot)
-            .with_fusion(FusionPolicy::Never);
-        let r = Engine::new(cfg).execute(wide_then_narrow_plan()).unwrap();
-        assert_eq!(r.rows(), vec![vec![Value::I64(200)]]);
-        assert_eq!(
-            r.metrics.degradations,
-            vec![Degradation {
-                from: Uot::Table,
-                to: Uot::Blocks(1),
-            }]
-        );
     }
 
     /// A join whose build side (200 rows of payload) dwarfs a tight budget:
@@ -1027,10 +932,6 @@ mod tests {
         let r = Engine::new(cfg).execute(wide_then_narrow_plan()).unwrap();
         assert_eq!(r.rows(), vec![vec![Value::I64(200)]]);
         assert!(r.metrics.spill_events > 0, "{:?}", r.metrics);
-        assert!(
-            r.metrics.degradations.is_empty(),
-            "spill succeeded on the first attempt, no UoT retry"
-        );
     }
 
     #[test]
@@ -1048,66 +949,6 @@ mod tests {
     }
 
     #[test]
-    fn budget_retry_replans_without_fusion() {
-        use crate::fault::{FaultKind, FaultSite, Injection};
-        // Deterministic budget pressure: a synthetic BudgetExceeded on the
-        // first work order (the fused pipeline's head) forces the LowerUot
-        // retry. The retry must re-plan with FusionPolicy::Never so the
-        // degraded UoT actually governs every edge — visible as zero fused
-        // pipelines in the final metrics.
-        let cfg = EngineConfig::serial()
-            .with_uot(Uot::Table)
-            .with_degrade(DegradePolicy::LowerUot);
-        let faults = Arc::new(FaultPlan::new(vec![Injection {
-            site: FaultSite::WorkOrderExec,
-            kind: FaultKind::Error,
-            nth: 1,
-        }]));
-        let r = Engine::new(cfg.clone())
-            .execute_with_faults(wide_then_narrow_plan(), faults)
-            .unwrap();
-        assert_eq!(r.rows(), vec![vec![Value::I64(200)]]);
-        assert_eq!(r.metrics.degradations.len(), 1);
-        assert_eq!(
-            r.metrics.fused_pipelines, 0,
-            "budget-degraded retry must not fuse"
-        );
-        assert!(r.metrics.staged_pipelines > 0);
-        // Control: the same config without pressure fuses the pipeline.
-        let r = Engine::new(cfg).execute(wide_then_narrow_plan()).unwrap();
-        assert_eq!(r.rows(), vec![vec![Value::I64(200)]]);
-        assert!(r.metrics.fused_pipelines > 0, "auto policy should fuse");
-    }
-
-    #[test]
-    fn run_cancellable_stops_mid_query() {
-        // A 400x400 nested-loops cross product: long enough that the cancel
-        // below always lands before the join finishes.
-        let t = table("cancel_t", 400);
-        let mut pb = PlanBuilder::new();
-        let inner = pb
-            .filter(Source::Table(t.clone()), cmp(col(0), CmpOp::Ge, lit(0i32)))
-            .unwrap();
-        let j = pb
-            .nested_loops(Source::Table(t), inner, vec![], vec![0], vec![0])
-            .unwrap();
-        let plan = pb.build(j).unwrap();
-        let engine = Engine::new(EngineConfig::serial());
-        let (token, handle) = engine.run_cancellable(plan);
-        token.cancel();
-        match handle.join().unwrap() {
-            Err(crate::EngineError::Cancelled { after, .. }) => {
-                assert!(after > Duration::ZERO);
-            }
-            Err(other) => panic!("expected Cancelled, got {other}"),
-            Ok(r) => panic!(
-                "query finished despite cancellation ({} rows)",
-                r.num_rows()
-            ),
-        }
-    }
-
-    #[test]
     fn injected_panic_is_contained_in_both_modes() {
         use crate::fault::{FaultKind, FaultSite, Injection};
         for cfg in [EngineConfig::serial(), EngineConfig::parallel(4)] {
@@ -1117,7 +958,9 @@ mod tests {
                 kind: FaultKind::Panic,
                 nth: 3,
             }]));
-            let err = engine.execute_with_faults(plan(), faults).unwrap_err();
+            let err = engine
+                .execute_with(plan(), ExecOptions::default().with_faults(faults))
+                .unwrap_err();
             match err {
                 crate::EngineError::WorkOrderPanic { op, kind, payload } => {
                     assert!(!op.is_empty(), "{cfg:?}");

@@ -2,7 +2,7 @@
 //!
 //! [`Engine`](crate::engine::Engine) and [`QueryService`](crate::service::QueryService)
 //! used to carry near-duplicate knob sets ([`EngineConfig`](crate::engine::EngineConfig)
-//! fields vs. the service's former `QueryOptions`). [`ExecOptions`] is the
+//! fields vs. a separate per-query options struct). [`ExecOptions`] is the
 //! deduplicated form: one struct of per-query overrides that
 //! [`Engine::execute_with`](crate::engine::Engine::execute_with) and
 //! [`QueryService::submit_with`](crate::service::QueryService::submit_with)
@@ -100,13 +100,6 @@ impl ExecOptions {
     }
 }
 
-/// Former name of [`ExecOptions`], kept for source compatibility.
-#[deprecated(
-    since = "0.1.0",
-    note = "renamed to ExecOptions; the same knobs now drive both Engine and QueryService"
-)]
-pub type QueryOptions = ExecOptions;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,12 +121,5 @@ mod tests {
         assert!(o.faults.is_some());
         assert_eq!(o.fusion, Some(FusionPolicy::Never));
         assert_eq!(o.degrade, Some(DegradePolicy::Spill));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_alias_still_works() {
-        let o = QueryOptions::default().with_uot(Uot::Blocks(2));
-        assert_eq!(o.uot, Some(Uot::Blocks(2)));
     }
 }

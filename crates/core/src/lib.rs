@@ -62,17 +62,14 @@ pub use edge::{EdgeDest, TransferAction, TransferEdge};
 pub use engine::{DegradePolicy, Engine, EngineConfig, ExecMode, QueryResult, TraceConfig};
 pub use error::EngineError;
 pub use exec_options::ExecOptions;
-#[allow(deprecated)]
-pub use exec_options::QueryOptions;
 pub use fault::{FaultKind, FaultPlan, FaultSite, Injection};
 pub use fusion::{FusedChain, FusionPolicy, FusionState};
 pub use hash_table::{JoinHashTable, PayloadRef, ProbeMatch, ProbeSession};
-pub use metrics::{Degradation, EdgeMetrics, OperatorMetrics, QueryMetrics, TaskRecord};
+pub use metrics::{EdgeMetrics, OperatorMetrics, QueryMetrics, TaskRecord};
 pub use obs::{
-    prometheus_from_hub, prometheus_snapshot, prometheus_snapshot_merged, CompositeObserver,
-    ExplainAnalyze, HistogramSnapshot, HubCounter, HubHistogram, HubObserver, HubSnapshot,
-    IntrospectionServer, LiveQuery, LiveRegistry, MetricsHub, ServerState, TracingObserver,
-    WatchdogConfig,
+    prometheus_from_hub, CompositeObserver, ExplainAnalyze, HistogramSnapshot, HubCounter,
+    HubHistogram, HubObserver, HubSnapshot, IntrospectionServer, LiveQuery, LiveRegistry,
+    MetricsHub, ServerState, TracingObserver, WatchdogConfig,
 };
 pub use plan::{
     JoinType, LipFilter, OpId, Operator, OperatorKind, PlanBuilder, QueryPlan, SortKey, Source,

@@ -8,20 +8,9 @@
 
 use crate::plan::OpId;
 use crate::query_id::QueryId;
-use crate::uot::Uot;
 use std::time::Duration;
 use uot_sql::PlanCacheOutcome;
 use uot_storage::PoolStats;
-
-/// One UoT degradation taken by the engine's
-/// [`DegradePolicy`](crate::engine::DegradePolicy) after a budget failure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Degradation {
-    /// The UoT the failed attempt ran with.
-    pub from: Uot,
-    /// The lower UoT the retry ran with.
-    pub to: Uot,
-}
 
 /// One executed work order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -152,9 +141,6 @@ pub struct QueryMetrics {
     pub result_rows: usize,
     /// Number of workers configured.
     pub workers: usize,
-    /// UoT degradations taken to fit the memory budget (empty unless
-    /// [`DegradePolicy::LowerUot`](crate::engine::DegradePolicy) kicked in).
-    pub degradations: Vec<Degradation>,
     /// For SQL submissions: whether the physical plan came from the plan
     /// cache ([`PlanCacheOutcome::Hit`]) or was compiled fresh. `None` when
     /// the query was submitted as a pre-built plan.

@@ -222,14 +222,6 @@ fn emit_trace(trace: &Trace, offset: Duration, out: &mut Vec<String>) {
                     in_use
                 ));
             }
-            TraceEventKind::Degraded { from, to } => {
-                out.push(instant(
-                    &format!("degrade {from} -> {to}"),
-                    label,
-                    e.t,
-                    "{}".into(),
-                ));
-            }
             TraceEventKind::PipelineFused {
                 pipeline,
                 head,

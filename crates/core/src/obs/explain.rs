@@ -63,8 +63,6 @@ pub struct ExplainAnalyze {
     pub result_rows: usize,
     /// Workers the query ran with.
     pub workers: usize,
-    /// UoT degradations taken (budget retries).
-    pub degradations: usize,
     /// Stream pipelines executed as fused loops.
     pub fused_pipelines: usize,
     /// Blocks evicted to the disk spill tier.
@@ -115,7 +113,6 @@ impl ExplainAnalyze {
             wall_time: metrics.wall_time,
             result_rows: metrics.result_rows,
             workers: metrics.workers,
-            degradations: metrics.degradations.len(),
             fused_pipelines: metrics.fused_pipelines,
             spill_events: metrics.spill_events,
             spilled_bytes: metrics.spilled_bytes,
@@ -134,9 +131,6 @@ impl ExplainAnalyze {
             self.result_rows,
             self.workers
         ));
-        if self.degradations > 0 {
-            out.push_str(&format!(", {} degradations", self.degradations));
-        }
         if self.fused_pipelines > 0 {
             out.push_str(&format!(", {} fused pipelines", self.fused_pipelines));
         }

@@ -142,15 +142,27 @@ impl Drop for IntrospectionServer {
     }
 }
 
+/// Longest one connection may spend sending its request head. Connections
+/// are served one at a time on the accept thread, so this bounds the *total*
+/// read time: a per-read timeout alone would let a client dripping one byte
+/// at a time hold `/healthz` and `/metrics` hostage for every other scraper.
+const REQUEST_DEADLINE: Duration = Duration::from_millis(500);
+
 /// Handle one connection: parse the request line, answer, close.
 fn serve_one(mut stream: TcpStream, state: &ServerState) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(500)));
-    // Read until the end of the request head (or the buffer fills). The
-    // routes take no bodies, so everything past the request line is ignored.
+    let deadline = Instant::now() + REQUEST_DEADLINE;
+    let _ = stream.set_write_timeout(Some(REQUEST_DEADLINE));
+    // Read until the end of the request head (or the buffer fills, or the
+    // deadline passes). The routes take no bodies, so everything past the
+    // request line is ignored.
     let mut buf = [0u8; 4096];
     let mut len = 0;
     while len < buf.len() {
+        // Each read may wait only for what is left of the deadline.
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            break;
+        }
         match stream.read(&mut buf[len..]) {
             Ok(0) => break,
             Ok(n) => {

@@ -617,63 +617,6 @@ impl SchedulerObserver for HubObserver {
     }
 }
 
-/// A hub layer that may be absent, mirroring
-/// [`MaybeTracingObserver`](crate::obs::MaybeTracingObserver): the engine
-/// composes one concrete observer stack whether or not a hub is installed,
-/// and an absent layer costs one branch per event.
-#[derive(Debug, Default)]
-pub struct MaybeHubObserver(pub Option<HubObserver>);
-
-impl SchedulerObserver for MaybeHubObserver {
-    fn work_order_dispatched(&mut self, wo: &WorkOrder) {
-        if let Some(h) = &mut self.0 {
-            h.work_order_dispatched(wo);
-        }
-    }
-
-    fn work_order_completed(&mut self, wo: &WorkOrder, record: TaskRecord) {
-        if let Some(h) = &mut self.0 {
-            h.work_order_completed(wo, record);
-        }
-    }
-
-    fn blocks_produced(&mut self, op: OpId, blocks: usize, rows: usize, bytes: usize) {
-        if let Some(h) = &mut self.0 {
-            h.blocks_produced(op, blocks, rows, bytes);
-        }
-    }
-
-    fn blocks_transferred(&mut self, op: OpId, blocks: &[Arc<StorageBlock>]) {
-        if let Some(h) = &mut self.0 {
-            h.blocks_transferred(op, blocks);
-        }
-    }
-
-    fn edge_staged(&mut self, producer: OpId, consumer: OpId, staged: usize, threshold: usize) {
-        if let Some(h) = &mut self.0 {
-            h.edge_staged(producer, consumer, staged, threshold);
-        }
-    }
-
-    fn transfer_flushed(
-        &mut self,
-        producer: OpId,
-        consumer: OpId,
-        blocks: &[Arc<StorageBlock>],
-        partial: bool,
-    ) {
-        if let Some(h) = &mut self.0 {
-            h.transfer_flushed(producer, consumer, blocks, partial);
-        }
-    }
-
-    fn operator_finished(&mut self, op: OpId) {
-        if let Some(h) = &mut self.0 {
-            h.operator_finished(op);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -12,14 +12,14 @@
 //!   [`QueryMetrics`](crate::metrics::QueryMetrics).
 //! * [`chrome`] — Chrome `trace_event` JSON for `chrome://tracing` /
 //!   [Perfetto](https://ui.perfetto.dev) flamegraph-style timelines.
-//! * [`prometheus`] — a Prometheus text-exposition snapshot of the counters
-//!   and gauges a finished trace implies (work orders, transfers, bytes,
-//!   pool occupancy, worker busy time, faults).
+//! * [`prometheus`] — Prometheus text exposition of the live
+//!   [`MetricsHub`] (what the service's `/metrics` endpoint serves).
 //! * [`timeline`] — per-edge UoT-occupancy timelines and per-operator task
 //!   time distributions: the Fig. 3 / Fig. 5-shaped data of the paper.
 //!
-//! All exporters are pure functions over a frozen [`Trace`](crate::trace::Trace);
-//! nothing here runs on the execution fast path.
+//! The trace exporters are pure functions over a frozen
+//! [`Trace`](crate::trace::Trace); nothing here runs on the execution fast
+//! path.
 
 pub mod chrome;
 pub mod explain;
@@ -33,11 +33,8 @@ pub mod timeline;
 pub use chrome::{chrome_trace_json, merged_chrome_trace_json};
 pub use explain::ExplainAnalyze;
 pub use http::{IntrospectionServer, ServerState};
-pub use hub::{
-    HistogramSnapshot, HubCounter, HubHistogram, HubObserver, HubSnapshot, MaybeHubObserver,
-    MetricsHub,
-};
+pub use hub::{HistogramSnapshot, HubCounter, HubHistogram, HubObserver, HubSnapshot, MetricsHub};
 pub use live::{LiveQuery, LiveRegistry, WatchdogConfig};
-pub use observer::{CompositeObserver, MaybeTracingObserver, TracingObserver};
-pub use prometheus::{prometheus_from_hub, prometheus_snapshot, prometheus_snapshot_merged};
+pub use observer::{CompositeObserver, TracingObserver};
+pub use prometheus::prometheus_from_hub;
 pub use timeline::{operator_task_times, operator_time_shares, uot_timelines, EdgeTimeline};

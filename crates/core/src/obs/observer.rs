@@ -157,64 +157,6 @@ impl<A: MetricsCarrier, B> MetricsCarrier for CompositeObserver<A, B> {
     }
 }
 
-/// A tracing layer that may be absent. The query service composes one
-/// observer stack per query — `CompositeObserver<MetricsObserver,
-/// MaybeTracingObserver>` — so traced and untraced queries share a single
-/// concrete [`SchedulerCore`](crate::scheduler::SchedulerCore) type; an
-/// absent layer costs one branch per event.
-#[derive(Debug, Default)]
-pub struct MaybeTracingObserver(pub Option<TracingObserver>);
-
-impl SchedulerObserver for MaybeTracingObserver {
-    fn work_order_dispatched(&mut self, wo: &WorkOrder) {
-        if let Some(t) = &mut self.0 {
-            t.work_order_dispatched(wo);
-        }
-    }
-
-    fn work_order_completed(&mut self, wo: &WorkOrder, record: TaskRecord) {
-        if let Some(t) = &mut self.0 {
-            t.work_order_completed(wo, record);
-        }
-    }
-
-    fn blocks_produced(&mut self, op: OpId, blocks: usize, rows: usize, bytes: usize) {
-        if let Some(t) = &mut self.0 {
-            t.blocks_produced(op, blocks, rows, bytes);
-        }
-    }
-
-    fn blocks_transferred(&mut self, op: OpId, blocks: &[Arc<StorageBlock>]) {
-        if let Some(t) = &mut self.0 {
-            t.blocks_transferred(op, blocks);
-        }
-    }
-
-    fn edge_staged(&mut self, producer: OpId, consumer: OpId, staged: usize, threshold: usize) {
-        if let Some(t) = &mut self.0 {
-            t.edge_staged(producer, consumer, staged, threshold);
-        }
-    }
-
-    fn transfer_flushed(
-        &mut self,
-        producer: OpId,
-        consumer: OpId,
-        blocks: &[Arc<StorageBlock>],
-        partial: bool,
-    ) {
-        if let Some(t) = &mut self.0 {
-            t.transfer_flushed(producer, consumer, blocks, partial);
-        }
-    }
-
-    fn operator_finished(&mut self, op: OpId) {
-        if let Some(t) = &mut self.0 {
-            t.operator_finished(op);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

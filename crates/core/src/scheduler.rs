@@ -24,8 +24,12 @@
 //!   the paper's figures are made of; [`NoopObserver`] runs the machine bare.
 //! * [`run_query`] — the one driver, parameterized over the observer stack
 //!   and [`ExecMode`]: inline execution for determinism, or a scheduler
-//!   thread with a worker pool (Quickstep's two thread kinds). [`run`] is
-//!   the convenience wrapper with default metrics and a plain error.
+//!   thread with a worker pool (Quickstep's two thread kinds). Its pieces —
+//!   the per-query in-flight record, the worker body and the completion
+//!   handler — are the same ones the
+//!   [`QueryService`](crate::service::QueryService) scheduler thread
+//!   multiplexes across queries. [`run`] is the convenience wrapper with
+//!   default metrics and a plain error.
 
 use crate::edge::{TransferAction, TransferEdge};
 use crate::error::EngineError;
@@ -38,9 +42,10 @@ use crate::topology::Dependent;
 use crate::uot::Uot;
 use crate::work_order::{WorkKind, WorkOrder};
 use crate::Result;
+use crossbeam::channel::Sender;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use uot_storage::{SpillSlot, StorageBlock};
 
 /// How work orders are driven.
@@ -94,16 +99,39 @@ impl Default for SchedulerConfig {
 }
 
 impl SchedulerConfig {
-    /// Up-front validation run by both drivers. `max_dop_per_op = Some(0)`
-    /// would make every operator unschedulable; historically it was silently
-    /// clamped to 1 — now it is rejected loudly.
-    pub fn validate(&self) -> Result<()> {
+    /// The one up-front check every front door runs before a query starts.
+    /// It catches mistakes that would otherwise surface as confusing
+    /// mid-query failures: a worker pool of zero threads, a per-operator DOP
+    /// cap of zero (every operator unschedulable), or temporary blocks of
+    /// `block_bytes` too small to hold one output tuple of some operator of
+    /// `plan`. Without a plan only the settings are checked.
+    pub fn validate(&self, plan: Option<&QueryPlan>, block_bytes: usize) -> Result<()> {
+        if let ExecMode::Parallel { workers: 0 } = self.mode {
+            return Err(EngineError::Config(
+                "parallel mode requires at least 1 worker (got workers=0)".into(),
+            ));
+        }
         if self.max_dop_per_op == Some(0) {
             return Err(EngineError::Config(
                 "max_dop_per_op must be at least 1 (Some(0) would make every \
                  operator unschedulable)"
                     .into(),
             ));
+        }
+        for (id, op) in plan.into_iter().flat_map(QueryPlan::ops).enumerate() {
+            // Builds materialize into hash tables, not pool blocks; every
+            // other operator writes output tuples into `block_bytes`-sized
+            // temporaries and needs room for at least one tuple.
+            if matches!(op.kind, OperatorKind::BuildHash { .. }) {
+                continue;
+            }
+            let width = op.out_schema.tuple_width();
+            if width > block_bytes {
+                return Err(EngineError::Config(format!(
+                    "block_bytes={block_bytes} cannot hold one {width}-byte tuple of op{id} ({})",
+                    op.name
+                )));
+            }
         }
         Ok(())
     }
@@ -165,6 +193,59 @@ pub trait MetricsCarrier {
 pub struct NoopObserver;
 
 impl SchedulerObserver for NoopObserver {}
+
+/// An observer layer that may be absent: `None` ignores every event at the
+/// cost of one branch, so traced and untraced, hub and hub-less queries all
+/// share one concrete observer stack (and one [`SchedulerCore`] type).
+impl<O: SchedulerObserver> SchedulerObserver for Option<O> {
+    fn work_order_dispatched(&mut self, wo: &WorkOrder) {
+        if let Some(o) = self {
+            o.work_order_dispatched(wo);
+        }
+    }
+
+    fn work_order_completed(&mut self, wo: &WorkOrder, record: TaskRecord) {
+        if let Some(o) = self {
+            o.work_order_completed(wo, record);
+        }
+    }
+
+    fn blocks_produced(&mut self, op: OpId, blocks: usize, rows: usize, bytes: usize) {
+        if let Some(o) = self {
+            o.blocks_produced(op, blocks, rows, bytes);
+        }
+    }
+
+    fn blocks_transferred(&mut self, op: OpId, blocks: &[Arc<StorageBlock>]) {
+        if let Some(o) = self {
+            o.blocks_transferred(op, blocks);
+        }
+    }
+
+    fn edge_staged(&mut self, producer: OpId, consumer: OpId, staged: usize, threshold: usize) {
+        if let Some(o) = self {
+            o.edge_staged(producer, consumer, staged, threshold);
+        }
+    }
+
+    fn transfer_flushed(
+        &mut self,
+        producer: OpId,
+        consumer: OpId,
+        blocks: &[Arc<StorageBlock>],
+        partial: bool,
+    ) {
+        if let Some(o) = self {
+            o.transfer_flushed(producer, consumer, blocks, partial);
+        }
+    }
+
+    fn operator_finished(&mut self, op: OpId) {
+        if let Some(o) = self {
+            o.operator_finished(op);
+        }
+    }
+}
 
 /// The default observer: accumulates the per-operator and per-task metrics
 /// that [`QueryMetrics`] reports.
@@ -417,7 +498,6 @@ impl<O: SchedulerObserver + MetricsCarrier> SchedulerCore<O> {
             hash_table_bytes,
             result_rows,
             workers,
-            degradations: Vec::new(),
             plan_cache: None,
             fused_pipelines: self.ctx.fusion.fused_count(),
             staged_pipelines: self.ctx.fusion.staged_count(),
@@ -1036,19 +1116,6 @@ pub struct FailedQuery {
     pub partial_metrics: QueryMetrics,
 }
 
-/// Rewrite a propagated `Cancelled` placeholder (raised inside an operator,
-/// which cannot see driver-level counters) with the authoritative wall time
-/// and completed-work-order count.
-pub(crate) fn finalize_error(e: EngineError, wall: Duration, completed: usize) -> EngineError {
-    match e {
-        EngineError::Cancelled { .. } => EngineError::Cancelled {
-            after: wall,
-            completed_work_orders: completed,
-        },
-        other => other,
-    }
-}
-
 /// Execute `ctx`'s plan under `config.mode` with the default metrics
 /// observer, surfacing only the error on failure — the common path for
 /// engine internals, tests and examples.
@@ -1077,89 +1144,24 @@ pub fn run_query<O: SchedulerObserver + MetricsCarrier>(
     config: SchedulerConfig,
     observer: O,
 ) -> std::result::Result<(Vec<Arc<StorageBlock>>, QueryMetrics), Box<FailedQuery>> {
-    let start = Instant::now();
-    if let Err(e) = config.validate() {
+    if let Err(error) = config.validate(Some(&ctx.plan), ctx.block_bytes) {
         return Err(Box::new(FailedQuery {
-            error: e,
+            error,
             partial_metrics: QueryMetrics::default(),
         }));
     }
-    let mut core = SchedulerCore::with_observer(ctx.clone(), config, observer);
-    let (completed, mut error) = match config.mode {
-        ExecMode::Serial => drive_serial(&ctx, &config, start, &mut core),
-        ExecMode::Parallel { .. } => drive_parallel(&ctx, &config, start, &mut core),
-    };
-    // A token tripped without an attributable work-order error (deadline at
-    // the last dispatch, external cancel) still cancels the query; the
-    // placeholder counters are rewritten by `finalize_error` below.
-    if error.is_none() && ctx.cancel.is_cancelled() {
-        error = Some(EngineError::Cancelled {
-            after: Duration::ZERO,
-            completed_work_orders: 0,
-        });
-    }
-    if error.is_none() && !core.all_finished() {
-        error = Some(core.stall_error());
-    }
-    let wall = start.elapsed();
-    let (blocks, metrics) = core.into_results(wall, config.mode.workers());
-    match error {
-        None => Ok((blocks, metrics)),
-        Some(e) => Err(Box::new(FailedQuery {
-            error: finalize_error(e, wall, completed),
-            partial_metrics: metrics,
-        })),
-    }
+    let mut run = QueryRun::new(ctx, config, observer);
+    run.drive(config.mode);
+    run.finish()
 }
 
-/// Inline loop body: one work order at a time on the calling thread.
-/// Deterministic; [`ExecMode::Serial`].
-fn drive_serial<O: SchedulerObserver + MetricsCarrier>(
-    ctx: &Arc<ExecContext>,
-    config: &SchedulerConfig,
-    start: Instant,
-    core: &mut SchedulerCore<O>,
-) -> (usize, Option<EngineError>) {
-    let mut completed = 0usize;
-    while let Some(wo) = core.next_work_order() {
-        // Dispatch-time deadline check: past it, flip the token so this and
-        // every subsequent work order fails fast with `Cancelled`.
-        if let Some(d) = config.deadline {
-            if start.elapsed() >= d {
-                ctx.cancel.cancel();
-            }
-        }
-        let t0 = start.elapsed();
-        match execute_work_order_contained(ctx, &wo) {
-            Ok(produced) => {
-                let t1 = start.elapsed();
-                let record = TaskRecord {
-                    op: wo.op,
-                    worker: 0,
-                    start: t0,
-                    end: t1,
-                };
-                completed += 1;
-                if let Err(e) = core.on_complete(&wo, produced, record) {
-                    return (completed, Some(e));
-                }
-            }
-            Err(e) => {
-                core.on_error(&wo);
-                return (completed, Some(e));
-            }
-        }
-    }
-    (completed, None)
-}
+/// Work handed to a worker: the owning query's context travels with the
+/// order, so one worker body serves a single query's scoped pool and the
+/// service's shared pool alike.
+pub(crate) struct ToWorker(pub(crate) Arc<ExecContext>, pub(crate) WorkOrder);
 
-/// Message from the scheduler to a worker.
-enum ToWorker {
-    Run(WorkOrder),
-}
-
-/// Message from a worker back to the scheduler.
-struct Completion {
+/// A work order's outcome, reported back to whoever dispatched it.
+pub(crate) struct Completion {
     wo: WorkOrder,
     worker: usize,
     start: Duration,
@@ -1167,147 +1169,281 @@ struct Completion {
     produced: Result<Vec<StorageBlock>>,
 }
 
-/// Worker-pool loop body: a scheduler (the calling thread) plus
-/// `mode.workers()` worker threads — the Quickstep threading model.
-/// [`ExecMode::Parallel`].
-fn drive_parallel<O: SchedulerObserver + MetricsCarrier>(
-    ctx: &Arc<ExecContext>,
-    config: &SchedulerConfig,
-    start: Instant,
-    core: &mut SchedulerCore<O>,
-) -> (usize, Option<EngineError>) {
-    let workers = config.mode.workers();
-    let (work_tx, work_rx) = crossbeam::channel::unbounded::<ToWorker>();
-    let (done_tx, done_rx) = crossbeam::channel::unbounded::<Completion>();
+impl Completion {
+    /// The query the work order belonged to.
+    pub(crate) fn query(&self) -> crate::query_id::QueryId {
+        self.wo.query
+    }
+}
 
-    std::thread::scope(|scope| {
-        for worker_id in 0..workers {
-            let work_rx = work_rx.clone();
-            let done_tx = done_tx.clone();
-            let ctx = ctx.clone();
-            scope.spawn(move || {
-                while let Ok(ToWorker::Run(wo)) = work_rx.recv() {
-                    let t0 = start.elapsed();
-                    // Contained execution: a panicking work order becomes a
-                    // `WorkOrderPanic` completion instead of killing the
-                    // worker (and with it the whole pool).
-                    let produced = execute_work_order_contained(&ctx, &wo);
-                    let t1 = start.elapsed();
-                    if done_tx
-                        .send(Completion {
-                            wo,
-                            worker: worker_id,
-                            start: t0,
-                            end: t1,
-                            produced,
-                        })
-                        .is_err()
-                    {
+/// Execute one work order on the calling thread, timed against its query's
+/// start. Contained: a panicking work order becomes a `WorkOrderPanic`
+/// outcome instead of unwinding the thread (and with it a whole pool).
+fn execute(ctx: &ExecContext, wo: WorkOrder, worker: usize) -> Completion {
+    let start = ctx.elapsed();
+    let produced = execute_work_order_contained(ctx, &wo);
+    Completion {
+        wo,
+        worker,
+        start,
+        end: ctx.elapsed(),
+        produced,
+    }
+}
+
+/// The worker body of every pool: run work orders until the dispatcher
+/// hangs up, reporting each outcome as a `M` (a bare [`Completion`] for a
+/// single query's pool, the service's event type for the shared one).
+pub(crate) fn worker_loop<M: From<Completion>>(
+    worker: usize,
+    work: crossbeam::channel::Receiver<ToWorker>,
+    done: Sender<M>,
+) {
+    while let Ok(ToWorker(ctx, wo)) = work.recv() {
+        if done.send(execute(&ctx, wo, worker).into()).is_err() {
+            break;
+        }
+    }
+}
+
+/// One query in flight: its scheduling core plus the dispatch bookkeeping
+/// every driver shares — the work orders out on workers, the completed
+/// count, the first error and the deadline. [`run_query`] drives one of
+/// these; the service's scheduler thread round-robins over many.
+pub(crate) struct QueryRun<O: SchedulerObserver + MetricsCarrier> {
+    pub(crate) ctx: Arc<ExecContext>,
+    core: SchedulerCore<O>,
+    workers: usize,
+    /// Deadline relative to the context's start.
+    deadline: Option<Duration>,
+    /// seq -> (op, bytes its stream input charged) for pooled work orders:
+    /// enough to release resources and name operators even if the work
+    /// order body is lost.
+    in_flight: HashMap<usize, (OpId, usize)>,
+    completed: usize,
+    first_error: Option<EngineError>,
+}
+
+impl<O: SchedulerObserver + MetricsCarrier> QueryRun<O> {
+    /// Set up scheduling state for `ctx` (see [`SchedulerCore::with_observer`]).
+    pub(crate) fn new(ctx: Arc<ExecContext>, config: SchedulerConfig, observer: O) -> Self {
+        QueryRun {
+            core: SchedulerCore::with_observer(ctx.clone(), config, observer),
+            ctx,
+            workers: config.mode.workers(),
+            deadline: config.deadline,
+            in_flight: HashMap::new(),
+            completed: 0,
+            first_error: None,
+        }
+    }
+
+    /// Trip the cancellation token once the deadline has passed; every
+    /// later work order then fails fast with `Cancelled`.
+    pub(crate) fn check_deadline(&self) {
+        if let Some(d) = self.deadline {
+            if self.ctx.elapsed() >= d {
+                self.ctx.cancel.cancel();
+            }
+        }
+    }
+
+    /// Time left until the deadline fires (`None`: no deadline, or the
+    /// query is already cancelled).
+    pub(crate) fn until_deadline(&self) -> Option<Duration> {
+        let d = self.deadline?;
+        (!self.ctx.cancel.is_cancelled()).then(|| d.saturating_sub(self.ctx.elapsed()))
+    }
+
+    /// The next work order to run, unless the query already failed or was
+    /// cancelled (its in-flight completions still drain).
+    fn next(&mut self) -> Option<WorkOrder> {
+        self.check_deadline();
+        if self.first_error.is_some() || self.ctx.cancel.is_cancelled() {
+            return None;
+        }
+        self.core.next_work_order()
+    }
+
+    /// Run the next work order inline on the calling thread — no in-flight
+    /// entry, no channel. `false` when there was nothing to run.
+    fn run_inline(&mut self) -> bool {
+        match self.next() {
+            Some(wo) => {
+                let done = execute(&self.ctx, wo, 0);
+                self.complete(done);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Hand the next work order to a worker pool. `false` when nothing was
+    /// sent.
+    pub(crate) fn dispatch_to(&mut self, work: &Sender<ToWorker>) -> bool {
+        let Some(wo) = self.next() else {
+            return false;
+        };
+        let charged = match &wo.kind {
+            WorkKind::Stream { block }
+                if self.ctx.plan.topology().stream_parent(wo.op).is_some() =>
+            {
+                block.allocated_bytes()
+            }
+            _ => 0,
+        };
+        let (seq, op) = (wo.seq, wo.op);
+        self.in_flight.insert(seq, (op, charged));
+        if work.send(ToWorker(self.ctx.clone(), wo)).is_err() {
+            self.in_flight.remove(&seq);
+            self.core.fail_in_flight(op, charged);
+            self.fail(EngineError::Internal(
+                "worker pool hung up unexpectedly".into(),
+            ));
+            return false;
+        }
+        true
+    }
+
+    /// A pooled work order came back.
+    pub(crate) fn on_done(&mut self, done: Completion) {
+        self.in_flight.remove(&done.wo.seq);
+        self.complete(done);
+    }
+
+    /// The one completion handler, for inline and pooled work orders alike.
+    fn complete(&mut self, done: Completion) {
+        match done.produced {
+            Ok(produced) => {
+                self.completed += 1;
+                let record = TaskRecord {
+                    op: done.wo.op,
+                    worker: done.worker,
+                    start: done.start,
+                    end: done.end,
+                };
+                if let Err(e) = self.core.on_complete(&done.wo, produced, record) {
+                    self.fail(e);
+                }
+            }
+            Err(e) => {
+                self.core.on_error(&done.wo);
+                self.fail(e);
+            }
+        }
+    }
+
+    /// Record `e` unless an earlier error already took precedence.
+    fn fail(&mut self, e: EngineError) {
+        self.first_error.get_or_insert(e);
+    }
+
+    /// Every pooled worker exited with work still out: release what the
+    /// lost work orders held and name the stranded operators (mirrors the
+    /// stall diagnostic).
+    fn workers_lost(&mut self) {
+        let mut ops: Vec<String> = self
+            .in_flight
+            .values()
+            .map(|&(op, _)| format!("op{} ({})", op, self.ctx.plan.op(op).name))
+            .collect();
+        ops.sort();
+        ops.dedup();
+        let detail = EngineError::Internal(format!(
+            "all workers exited early with {} work orders in flight on {}",
+            self.in_flight.len(),
+            ops.join(", "),
+        ));
+        for (_, (op, bytes)) in self.in_flight.drain() {
+            self.core.fail_in_flight(op, bytes);
+        }
+        self.fail(detail);
+    }
+
+    /// Nothing is in flight and nothing more will be dispatched: the query
+    /// finished, failed, was cancelled or ran out of ready work.
+    pub(crate) fn is_settled(&self) -> bool {
+        self.in_flight.is_empty()
+            && (self.first_error.is_some()
+                || self.ctx.cancel.is_cancelled()
+                || self.core.all_finished()
+                || self.core.ready_len() == 0)
+    }
+
+    /// Run the query to completion on this thread: inline for
+    /// [`ExecMode::Serial`] (deterministic), or as the scheduler of a scoped
+    /// pool of `mode.workers()` threads — the Quickstep threading model.
+    pub(crate) fn drive(&mut self, mode: ExecMode) {
+        if mode == ExecMode::Serial {
+            while self.run_inline() {}
+            return;
+        }
+        let workers = mode.workers();
+        let (work_tx, work_rx) = crossbeam::channel::unbounded::<ToWorker>();
+        let (done_tx, done_rx) = crossbeam::channel::unbounded::<Completion>();
+        std::thread::scope(|scope| {
+            for worker in 0..workers {
+                let (work_rx, done_tx) = (work_rx.clone(), done_tx.clone());
+                scope.spawn(move || worker_loop(worker, work_rx, done_tx));
+            }
+            drop(done_tx); // the scheduler holds only the receiver
+            let mut free_slots = workers;
+            loop {
+                while free_slots > 0 && self.dispatch_to(&work_tx) {
+                    free_slots -= 1;
+                }
+                if self.in_flight.is_empty() {
+                    break;
+                }
+                match done_rx.recv() {
+                    Ok(done) => {
+                        free_slots += 1;
+                        self.on_done(done);
+                    }
+                    Err(_) => {
+                        self.workers_lost();
                         break;
                     }
                 }
+            }
+            drop(work_tx); // stop the workers
+        });
+    }
+
+    /// Settle the outcome and tear down. Error precedence: the first
+    /// work-order error, else a tripped token, else a stall diagnostic. A
+    /// `Cancelled` raised inside an operator (which cannot see driver-level
+    /// counters) is rewritten with the authoritative wall time and
+    /// completed-work-order count.
+    pub(crate) fn finish(
+        mut self,
+    ) -> std::result::Result<(Vec<Arc<StorageBlock>>, QueryMetrics), Box<FailedQuery>> {
+        let mut error = self.first_error.take();
+        if error.is_none() && self.ctx.cancel.is_cancelled() {
+            error = Some(EngineError::Cancelled {
+                after: Duration::ZERO,
+                completed_work_orders: 0,
             });
         }
-        drop(done_tx); // scheduler holds only the receiver
-
-        let mut free_slots = workers;
-        // seq -> (op, bytes its stream input charged): enough to release
-        // resources and name operators even if the work order body is lost.
-        let mut in_flight: HashMap<usize, (OpId, usize)> = HashMap::new();
-        let mut first_error: Option<EngineError> = None;
-        let mut completed = 0usize;
-
-        loop {
-            if let Some(d) = config.deadline {
-                if start.elapsed() >= d {
-                    ctx.cancel.cancel();
-                }
-            }
-            // Dispatch as much ready work as workers can take — unless the
-            // query already failed or was cancelled.
-            if first_error.is_none() && !ctx.cancel.is_cancelled() {
-                while free_slots > 0 {
-                    match core.next_work_order() {
-                        Some(wo) => {
-                            free_slots -= 1;
-                            let charged = match &wo.kind {
-                                WorkKind::Stream { block }
-                                    if ctx.plan.topology().stream_parent(wo.op).is_some() =>
-                                {
-                                    block.allocated_bytes()
-                                }
-                                _ => 0,
-                            };
-                            in_flight.insert(wo.seq, (wo.op, charged));
-                            if work_tx.send(ToWorker::Run(wo)).is_err() {
-                                if first_error.is_none() {
-                                    first_error = Some(EngineError::Internal(
-                                        "worker pool hung up unexpectedly".into(),
-                                    ));
-                                }
-                                break;
-                            }
-                        }
-                        None => break,
-                    }
-                }
-            }
-            if in_flight.is_empty() {
-                break;
-            }
-            let comp = match done_rx.recv() {
-                Ok(c) => c,
-                Err(_) => {
-                    // All workers exited with work still in flight. Name the
-                    // stranded operators (mirrors the stall diagnostic).
-                    let mut ops: Vec<String> = in_flight
-                        .values()
-                        .map(|&(op, _)| format!("op{} ({})", op, ctx.plan.op(op).name))
-                        .collect();
-                    ops.sort();
-                    ops.dedup();
-                    let detail = EngineError::Internal(format!(
-                        "all workers exited early with {} work orders in flight on {}",
-                        in_flight.len(),
-                        ops.join(", "),
-                    ));
-                    for (_, (op, bytes)) in in_flight.drain() {
-                        core.fail_in_flight(op, bytes);
-                    }
-                    if first_error.is_none() {
-                        first_error = Some(detail);
-                    }
-                    break;
-                }
-            };
-            free_slots += 1;
-            in_flight.remove(&comp.wo.seq);
-            match comp.produced {
-                Ok(produced) => {
-                    completed += 1;
-                    let record = TaskRecord {
-                        op: comp.wo.op,
-                        worker: comp.worker,
-                        start: comp.start,
-                        end: comp.end,
-                    };
-                    if let Err(e) = core.on_complete(&comp.wo, produced, record) {
-                        if first_error.is_none() {
-                            first_error = Some(e);
-                        }
-                    }
-                }
-                Err(e) => {
-                    core.on_error(&comp.wo);
-                    if first_error.is_none() {
-                        first_error = Some(e);
-                    }
-                }
-            }
+        if error.is_none() && !self.core.all_finished() {
+            error = Some(self.core.stall_error());
         }
-        drop(work_tx); // stop workers
-        (completed, first_error)
-    })
+        let wall = self.ctx.elapsed();
+        let (blocks, metrics) = self.core.into_results(wall, self.workers);
+        match error {
+            None => Ok((blocks, metrics)),
+            Some(e) => Err(Box::new(FailedQuery {
+                error: match e {
+                    EngineError::Cancelled { .. } => EngineError::Cancelled {
+                        after: wall,
+                        completed_work_orders: self.completed,
+                    },
+                    other => other,
+                },
+                partial_metrics: metrics,
+            })),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1832,7 +1968,10 @@ mod tests {
             max_dop_per_op: Some(0),
             ..Default::default()
         };
-        assert!(matches!(bad.validate(), Err(EngineError::Config(_))));
+        assert!(matches!(
+            bad.validate(None, 96),
+            Err(EngineError::Config(_))
+        ));
         let ctx = ctx_for(select_probe_plan(Uot::Blocks(1)));
         let err = run_serial(ctx, bad).unwrap_err();
         assert!(matches!(err, EngineError::Config(_)), "{err}");

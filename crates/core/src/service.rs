@@ -4,10 +4,14 @@
 //! The [`Engine`](crate::engine::Engine) spins up a fresh scheduler and
 //! worker pool per query — the right shape for studying one query's UoT
 //! behaviour, the wrong shape for a server. [`QueryService`] is the
-//! long-lived form: a single scheduler thread multiplexes one
-//! [`SchedulerCore`] per admitted query over a shared pool of worker
-//! threads, and every dispatched [`WorkOrder`], pool allocation, metric and
-//! trace event carries the query's [`QueryId`].
+//! long-lived form: a single scheduler thread multiplexes every admitted
+//! query over a shared pool of worker threads, and every dispatched
+//! [`WorkOrder`](crate::work_order::WorkOrder), pool allocation, metric and
+//! trace event carries the query's [`QueryId`]. Setup, the per-query
+//! dispatch record and teardown are the same code the
+//! [`Engine`](crate::engine::Engine) runs a single query with; the service
+//! adds admission, round-robin dispatch, the hub, the live registry, the
+//! watchdog and the HTTP endpoint.
 //!
 //! Three mechanisms keep tenants honest:
 //!
@@ -18,7 +22,7 @@
 //!   never fit is rejected immediately with
 //!   [`EngineError::AdmissionRejected`].
 //! * **Per-query budgets** — an admitted query allocates from its own
-//!   [`BlockPool`] whose [`MemoryTracker`] is parented on the service-wide
+//!   [`BlockPool`](uot_storage::BlockPool) whose [`MemoryTracker`] is parented on the service-wide
 //!   tracker, so a query that outgrows its reservation fails alone with
 //!   [`EngineError::BudgetExceeded`] (naming its [`QueryId`]) while the
 //!   global gauge stays exact.
@@ -32,24 +36,19 @@
 //! drain back to the global tracker — while sibling queries keep running.
 
 use crate::cancel::CancellationToken;
-use crate::engine::QueryResult;
+use crate::engine::{prepare, EngineConfig, PreparedQuery, QueryResult, TraceConfig};
 use crate::error::EngineError;
 use crate::exec_options::ExecOptions;
-use crate::metrics::TaskRecord;
-use crate::obs::hub::{HubCounter, HubHistogram, HubObserver};
-use crate::obs::observer::MaybeTracingObserver;
+use crate::fault::FaultPlan;
+use crate::obs::hub::{HubCounter, HubHistogram};
 use crate::obs::{
-    CompositeObserver, ExplainAnalyze, HubSnapshot, IntrospectionServer, LiveQuery, LiveRegistry,
-    MetricsHub, ServerState, TracingObserver, WatchdogConfig,
+    HubSnapshot, IntrospectionServer, LiveRegistry, MetricsHub, ServerState, WatchdogConfig,
 };
-use crate::ops::execute_work_order_contained;
-use crate::plan::{OpId, OperatorKind, QueryPlan};
+use crate::plan::QueryPlan;
 use crate::query_id::QueryId;
-use crate::scheduler::{ExecMode, MetricsObserver, SchedulerConfig, SchedulerCore};
-use crate::state::ExecContext;
-use crate::trace::{TraceSink, DEFAULT_TRACE_CAPACITY};
+use crate::scheduler::{worker_loop, Completion, ExecMode, ToWorker};
+use crate::trace::DEFAULT_TRACE_CAPACITY;
 use crate::uot::Uot;
-use crate::work_order::{WorkKind, WorkOrder};
 use crate::Result;
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use std::collections::{HashMap, VecDeque};
@@ -57,13 +56,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use uot_sql::{CacheStats, PlanCache, PlanCacheOutcome};
-use uot_storage::{BlockFormat, BlockPool, Catalog, MemoryTracker, Schema, StorageBlock};
-
-/// The per-query observer stack: metrics always, the live hub always,
-/// tracing when enabled. One concrete type so every query's
-/// [`SchedulerCore`] is the same type.
-type ServiceObserver =
-    CompositeObserver<MetricsObserver, CompositeObserver<HubObserver, MaybeTracingObserver>>;
+use uot_storage::{BlockFormat, Catalog, MemoryTracker};
 
 /// Service-wide configuration: the shared worker pool, the global memory
 /// budget admission control carves reservations from, and the per-query
@@ -147,11 +140,9 @@ impl Default for ServiceConfig {
 
 impl ServiceConfig {
     fn validate(&self) -> Result<()> {
-        if self.workers == 0 {
-            return Err(EngineError::Config(
-                "a query service needs at least 1 worker (got workers=0)".into(),
-            ));
-        }
+        self.query_defaults()
+            .scheduler()
+            .validate(None, self.block_bytes)?;
         if self.memory_budget == 0 {
             return Err(EngineError::Config(
                 "memory_budget=0 would reject every admission".into(),
@@ -163,14 +154,32 @@ impl ServiceConfig {
                 self.default_reservation, self.memory_budget
             )));
         }
-        if self.max_dop_per_op == Some(0) {
-            return Err(EngineError::Config(
-                "max_dop_per_op must be at least 1 (Some(0) would make every \
-                 operator unschedulable)"
-                    .into(),
-            ));
-        }
         Ok(())
+    }
+
+    /// The per-query defaults every submission's [`ExecOptions`] layer over
+    /// (see [`EngineConfig::resolve`]): each query runs on the shared pool
+    /// against its reservation as its budget.
+    fn query_defaults(&self) -> EngineConfig {
+        EngineConfig {
+            block_bytes: self.block_bytes,
+            temp_format: self.temp_format,
+            default_uot: self.default_uot,
+            mode: ExecMode::Parallel {
+                workers: self.workers,
+            },
+            max_dop_per_op: self.max_dop_per_op,
+            hash_table_shards: self.hash_table_shards,
+            pool_reuse: self.pool_reuse,
+            memory_budget: Some(self.default_reservation),
+            degrade: self.degrade,
+            deadline: None,
+            trace: self.trace.then_some(TraceConfig {
+                capacity: self.trace_capacity,
+            }),
+            fusion: self.fusion,
+            hub: None,
+        }
     }
 }
 
@@ -215,7 +224,9 @@ impl QueryHandle {
 struct Submission {
     id: QueryId,
     plan: QueryPlan,
-    opts: ExecOptions,
+    /// The service defaults with this submission's options layered on.
+    cfg: EngineConfig,
+    faults: Option<Arc<FaultPlan>>,
     token: CancellationToken,
     reply: Sender<Result<QueryResult>>,
     reservation: usize,
@@ -230,15 +241,6 @@ struct Submission {
     explain: bool,
 }
 
-/// A finished work order reported back by a worker.
-struct Completion {
-    wo: WorkOrder,
-    worker: usize,
-    start: Duration,
-    end: Duration,
-    produced: Result<Vec<StorageBlock>>,
-}
-
 /// Everything the scheduler thread multiplexes over one channel — no
 /// `select!` needed: submissions, completions and shutdown arrive in order.
 enum ToService {
@@ -247,10 +249,10 @@ enum ToService {
     Shutdown,
 }
 
-/// Work handed to a shared worker: the owning query's context travels with
-/// the order, so one worker executes for many queries back to back.
-enum ToWorker {
-    Run(Arc<ExecContext>, WorkOrder),
+impl From<Completion> for ToService {
+    fn from(done: Completion) -> Self {
+        ToService::Done(Box::new(done))
+    }
 }
 
 /// A long-lived, multi-query execution service (see the module docs).
@@ -266,6 +268,8 @@ pub struct QueryService {
     next_id: AtomicU64,
     tracker: Arc<MemoryTracker>,
     config: ServiceConfig,
+    /// Per-query defaults submissions layer their options over.
+    defaults: EngineConfig,
     /// Compiled plans shared by every [`QueryService::submit_sql`] client,
     /// keyed by normalized SQL text.
     plan_cache: PlanCache<QueryPlan>,
@@ -290,33 +294,15 @@ impl QueryService {
         let (to_service, service_rx) = crossbeam::channel::unbounded::<ToService>();
         let (work_tx, work_rx) = crossbeam::channel::unbounded::<ToWorker>();
         let mut workers = Vec::with_capacity(config.workers);
-        for worker_id in 0..config.workers {
-            let work_rx = work_rx.clone();
-            let done_tx = to_service.clone();
+        for worker in 0..config.workers {
+            let (work_rx, done_tx) = (work_rx.clone(), to_service.clone());
             workers.push(std::thread::spawn(move || {
-                while let Ok(ToWorker::Run(ctx, wo)) = work_rx.recv() {
-                    let t0 = ctx.elapsed();
-                    // Contained execution: a panicking work order becomes an
-                    // error completion instead of killing a shared worker.
-                    let produced = execute_work_order_contained(&ctx, &wo);
-                    let t1 = ctx.elapsed();
-                    if done_tx
-                        .send(ToService::Done(Box::new(Completion {
-                            wo,
-                            worker: worker_id,
-                            start: t0,
-                            end: t1,
-                            produced,
-                        })))
-                        .is_err()
-                    {
-                        break;
-                    }
-                }
+                worker_loop(worker, work_rx, done_tx)
             }));
         }
         let loop_state = SchedulerLoop {
-            config: config.clone(),
+            memory_budget: config.memory_budget,
+            max_queued: config.max_queued,
             tracker: tracker.clone(),
             work_tx,
             free_slots: config.workers,
@@ -374,6 +360,10 @@ impl QueryService {
             workers,
             next_id: AtomicU64::new(1),
             tracker,
+            defaults: EngineConfig {
+                hub: Some(hub.clone()),
+                ..config.query_defaults()
+            },
             config,
             plan_cache: PlanCache::new(),
             hub,
@@ -440,8 +430,9 @@ impl QueryService {
     /// on the result records whether this submission hit the cache.
     /// `EXPLAIN ANALYZE <stmt>` submissions execute the inner statement
     /// normally (same plan cache, same options) and deliver the rendered
-    /// [`ExplainAnalyze`] tree as the result rows; the real metrics, trace
-    /// and [`QueryResult::explain`] stay attached.
+    /// [`ExplainAnalyze`](crate::obs::ExplainAnalyze) tree as the result
+    /// rows; the real metrics, trace and [`QueryResult::explain`] stay
+    /// attached.
     pub fn submit_sql_with(&self, sql: &str, opts: ExecOptions) -> Result<QueryHandle> {
         let (sql, explain) = match uot_sql::strip_explain_analyze(sql) {
             Some(inner) => (inner, true),
@@ -482,12 +473,17 @@ impl QueryService {
         let id = QueryId::new(self.next_id.fetch_add(1, Ordering::Relaxed));
         let token = CancellationToken::new();
         let (reply_tx, reply_rx) = crossbeam::channel::unbounded();
+        let (mut cfg, plan) = self.defaults.resolve(plan, &opts);
+        if let Some(trace) = &mut cfg.trace {
+            trace.capacity = self.config.trace_capacity;
+        }
         let reservation = opts.reservation.unwrap_or(self.config.default_reservation);
         self.hub.add(HubCounter::QueriesSubmitted, 1);
         let sub = Submission {
             id,
             plan,
-            opts,
+            cfg,
+            faults: opts.faults,
             token: token.clone(),
             reply: reply_tx,
             reservation,
@@ -537,32 +533,23 @@ impl Drop for QueryService {
 
 /// Scheduler-thread state of one admitted query.
 struct ActiveQuery {
-    ctx: Arc<ExecContext>,
-    core: SchedulerCore<ServiceObserver>,
+    query: PreparedQuery,
     reply: Sender<Result<QueryResult>>,
-    schema: Arc<Schema>,
-    sink: Option<Arc<TraceSink>>,
     reservation: usize,
     /// Plan-cache outcome for SQL submissions, stamped onto the metrics.
     cache: Option<PlanCacheOutcome>,
-    /// Deadline relative to admission (the context's start).
-    deadline: Option<Duration>,
     /// Submission time (the hub's end-to-end latency histogram).
     submitted: Instant,
     /// Deliver the rendered `EXPLAIN ANALYZE` tree as the result rows.
     explain: bool,
-    /// This query's live-registry record.
-    live: Arc<LiveQuery>,
-    /// seq -> (op, bytes its stream input charged): enough to release
-    /// resources and attribute losses even if a work order body is lost.
-    in_flight: HashMap<usize, (OpId, usize)>,
-    completed: usize,
-    first_error: Option<EngineError>,
 }
 
 /// The scheduler thread's event loop.
 struct SchedulerLoop {
-    config: ServiceConfig,
+    /// Global budget reservations are carved from.
+    memory_budget: usize,
+    /// Admission-queue depth.
+    max_queued: usize,
     tracker: Arc<MemoryTracker>,
     work_tx: Sender<ToWorker>,
     free_slots: usize,
@@ -571,7 +558,7 @@ struct SchedulerLoop {
     order: VecDeque<QueryId>,
     /// FIFO admission queue (reservations that do not currently fit).
     pending: VecDeque<Box<Submission>>,
-    /// Sum of active reservations, ≤ `config.memory_budget`.
+    /// Sum of active reservations, ≤ `memory_budget`.
     reserved: usize,
     draining: bool,
     /// The service's always-on metrics hub.
@@ -617,20 +604,17 @@ impl SchedulerLoop {
     fn next_deadline(&self) -> Option<Duration> {
         self.active
             .values()
-            .filter(|q| !q.ctx.cancel.is_cancelled())
-            .filter_map(|q| q.deadline.map(|d| d.saturating_sub(q.ctx.elapsed())))
+            .filter_map(|q| q.query.run.until_deadline())
             .min()
     }
 
     fn check_deadlines(&self) {
         for q in self.active.values() {
-            if let Some(d) = q.deadline {
-                if q.ctx.elapsed() >= d {
-                    q.ctx.cancel.cancel();
+            q.query.run.check_deadline();
+            if q.query.run.ctx.cancel.is_cancelled() {
+                if let Some(live) = &q.query.live {
+                    live.set_cancelling();
                 }
-            }
-            if q.ctx.cancel.is_cancelled() {
-                q.live.set_cancelling();
             }
         }
     }
@@ -651,30 +635,7 @@ impl SchedulerLoop {
                 };
                 // A failed or cancelled query stops dispatching; its
                 // in-flight completions still drain through `handle_done`.
-                if q.first_error.is_some() || q.ctx.cancel.is_cancelled() {
-                    continue;
-                }
-                let Some(wo) = q.core.next_work_order() else {
-                    continue;
-                };
-                let charged = match &wo.kind {
-                    WorkKind::Stream { block }
-                        if q.ctx.plan.topology().stream_parent(wo.op).is_some() =>
-                    {
-                        block.allocated_bytes()
-                    }
-                    _ => 0,
-                };
-                let (seq, op) = (wo.seq, wo.op);
-                q.in_flight.insert(seq, (op, charged));
-                if self.work_tx.send(ToWorker::Run(q.ctx.clone(), wo)).is_err() {
-                    q.in_flight.remove(&seq);
-                    q.core.fail_in_flight(op, charged);
-                    if q.first_error.is_none() {
-                        q.first_error = Some(EngineError::Internal(
-                            "worker pool hung up unexpectedly".into(),
-                        ));
-                    }
+                if !q.query.run.dispatch_to(&self.work_tx) {
                     continue;
                 }
                 self.free_slots -= 1;
@@ -686,35 +647,12 @@ impl SchedulerLoop {
         }
     }
 
-    fn handle_done(&mut self, c: Completion) {
+    fn handle_done(&mut self, done: Completion) {
         self.free_slots += 1;
         // The query must still be active: finalization requires in-flight
         // work to have drained. Defensive skip if it somehow is not.
-        let Some(q) = self.active.get_mut(&c.wo.query) else {
-            return;
-        };
-        q.in_flight.remove(&c.wo.seq);
-        match c.produced {
-            Ok(produced) => {
-                q.completed += 1;
-                let record = TaskRecord {
-                    op: c.wo.op,
-                    worker: c.worker,
-                    start: c.start,
-                    end: c.end,
-                };
-                if let Err(e) = q.core.on_complete(&c.wo, produced, record) {
-                    if q.first_error.is_none() {
-                        q.first_error = Some(e);
-                    }
-                }
-            }
-            Err(e) => {
-                q.core.on_error(&c.wo);
-                if q.first_error.is_none() {
-                    q.first_error = Some(e);
-                }
-            }
+        if let Some(q) = self.active.get_mut(&done.query()) {
+            q.query.run.on_done(done);
         }
     }
 
@@ -724,26 +662,26 @@ impl SchedulerLoop {
             let _ = sub.reply.send(Err(EngineError::ServiceShutdown));
             return;
         }
-        if let Err(e) = validate_plan(&sub.plan, &self.config) {
+        if let Err(e) = sub.cfg.validate(&sub.plan) {
             self.hub.add(HubCounter::QueriesFailed, 1);
             let _ = sub.reply.send(Err(e));
             return;
         }
-        if sub.reservation == 0 || sub.reservation > self.config.memory_budget {
+        if sub.reservation == 0 || sub.reservation > self.memory_budget {
             self.hub.add(HubCounter::AdmissionRejected, 1);
             let _ = sub.reply.send(Err(EngineError::AdmissionRejected {
                 query: sub.id,
                 reservation: sub.reservation,
-                budget: self.config.memory_budget,
+                budget: self.memory_budget,
                 reason: "reservation can never fit the global budget".into(),
             }));
             return;
         }
         // FIFO admission: no queue-jumping past an earlier waiter even if
         // this reservation would fit right now.
-        if self.pending.is_empty() && self.reserved + sub.reservation <= self.config.memory_budget {
+        if self.pending.is_empty() && self.reserved + sub.reservation <= self.memory_budget {
             self.activate(*sub);
-        } else if self.pending.len() < self.config.max_queued {
+        } else if self.pending.len() < self.max_queued {
             self.hub.add(HubCounter::AdmissionQueued, 1);
             self.registry.enqueue(sub.id, sub.reservation);
             self.pending.push_back(sub);
@@ -752,7 +690,7 @@ impl SchedulerLoop {
             let _ = sub.reply.send(Err(EngineError::AdmissionRejected {
                 query: sub.id,
                 reservation: sub.reservation,
-                budget: self.config.memory_budget,
+                budget: self.memory_budget,
                 reason: format!("admission queue full ({} queued)", self.pending.len()),
             }));
         }
@@ -768,7 +706,7 @@ impl SchedulerLoop {
                 let _ = sub.reply.send(Err(EngineError::ServiceShutdown));
                 continue;
             }
-            if self.reserved + front.reservation > self.config.memory_budget {
+            if self.reserved + front.reservation > self.memory_budget {
                 break;
             }
             let sub = self.pending.pop_front().expect("front exists");
@@ -776,13 +714,14 @@ impl SchedulerLoop {
         }
     }
 
-    /// Carve the query's reservation out of the global budget and set up its
-    /// context, observer stack and scheduling core.
+    /// Carve the query's reservation out of the global budget and set the
+    /// query up through the shared [`prepare`] path.
     fn activate(&mut self, sub: Submission) {
         let Submission {
             id,
             plan,
-            opts,
+            cfg,
+            faults,
             token,
             reply,
             reservation,
@@ -797,58 +736,9 @@ impl SchedulerLoop {
         // The per-query tracker mirrors into the service tracker (charged
         // against the *global* budget first), and the per-query pool caps
         // this query at its own reservation.
-        let tracker = MemoryTracker::with_parent(self.tracker.clone(), self.config.memory_budget);
-        let pool = BlockPool::with_budget(tracker.clone(), reservation);
-        pool.set_reuse_enabled(self.config.pool_reuse);
-        let plan = Arc::new(plan);
-        let schema = plan.result_schema().clone();
-        let sink = (self.config.trace || opts.trace)
-            .then(|| TraceSink::for_query(self.config.trace_capacity, id));
-        // The query's live record: progress, occupancy and spill activity
-        // stream into it from the observer stack and the spill hook, and the
-        // HTTP endpoint and watchdog read it concurrently.
-        let live = LiveQuery::new(
-            id,
-            plan.ops()[plan.sink()].name.clone(),
-            reservation,
-            opts.deadline,
-            tracker.clone(),
-            sink.clone(),
-            plan.len(),
-        );
-        // Spill mode gives this query a private disk tier charged against its
-        // own tracker: evicted bytes come off the reservation (and thus the
-        // global budget), so only resident bytes count toward admission.
-        let degrade = opts.degrade.unwrap_or(self.config.degrade);
-        let spill_enabled = degrade == crate::engine::DegradePolicy::Spill;
-        if spill_enabled {
-            match uot_storage::SpillStore::new(None, tracker.clone()) {
-                Ok(store) => {
-                    store.set_observer(crate::spill::EngineSpillHook::with_telemetry(
-                        opts.faults.clone(),
-                        sink.clone(),
-                        tracker.clone(),
-                        Some(self.hub.clone()),
-                        Some(live.clone()),
-                    ));
-                    pool.enable_spill(store);
-                }
-                Err(e) => {
-                    self.registry.remove(id);
-                    self.hub.add(HubCounter::QueriesFailed, 1);
-                    let _ = reply.send(Err(e.into()));
-                    return;
-                }
-            }
-        }
-        let ctx = match ExecContext::new(
-            plan,
-            pool,
-            self.config.temp_format,
-            self.config.block_bytes,
-            self.config.hash_table_shards,
-        ) {
-            Ok(c) => c,
+        let tracker = MemoryTracker::with_parent(self.tracker.clone(), self.memory_budget);
+        let query = match prepare(&cfg, plan, tracker, id, token, faults, true) {
+            Ok(query) => query,
             Err(e) => {
                 self.registry.remove(id);
                 self.hub.add(HubCounter::QueriesFailed, 1);
@@ -856,69 +746,20 @@ impl SchedulerLoop {
                 return;
             }
         };
-        let mut ctx = ctx.with_query(id).with_cancellation(token);
-        if let Some(faults) = opts.faults {
-            ctx = ctx.with_faults(faults);
-        }
-        if let Some(sink) = &sink {
-            ctx = ctx.with_trace(sink.clone());
-        }
-        if spill_enabled {
-            ctx.plan_grace(reservation);
-        }
-        let uot = opts.uot.unwrap_or(self.config.default_uot).normalized();
-        // Fused chains hold their intermediate state in registers and stack —
-        // nothing the pool can evict — so spill mode pins every edge to the
-        // staged path.
-        let fusion_policy = if spill_enabled {
-            crate::fusion::FusionPolicy::Never
-        } else {
-            opts.fusion.unwrap_or(self.config.fusion)
-        };
-        let fusion_state = crate::fusion::plan_fusion(
-            &ctx.plan,
-            fusion_policy,
-            self.config.workers,
-            self.config.block_bytes,
-            uot,
-        );
-        let ctx = Arc::new(ctx.with_fusion(fusion_state));
-        let sched = SchedulerConfig {
-            mode: ExecMode::Parallel {
-                workers: self.config.workers,
-            },
-            default_uot: uot,
-            max_dop_per_op: self.config.max_dop_per_op,
-            deadline: opts.deadline,
-        };
-        let observer = CompositeObserver::new(
-            MetricsObserver::new(&ctx.plan),
-            CompositeObserver::new(
-                HubObserver::new(self.hub.clone(), tracker).with_live(live.clone()),
-                MaybeTracingObserver(sink.clone().map(TracingObserver::new)),
-            ),
-        );
-        let core = SchedulerCore::with_observer(ctx.clone(), sched, observer);
         self.reserved += reservation;
         self.order.push_back(id);
-        self.registry.admit(live.clone());
+        if let Some(live) = &query.live {
+            self.registry.admit(live.clone());
+        }
         self.active.insert(
             id,
             ActiveQuery {
-                ctx,
-                core,
+                query,
                 reply,
-                schema,
-                sink,
                 reservation,
                 cache,
-                deadline: opts.deadline,
                 submitted,
                 explain,
-                live,
-                in_flight: HashMap::new(),
-                completed: 0,
-                first_error: None,
             },
         );
     }
@@ -929,13 +770,7 @@ impl SchedulerLoop {
         let done: Vec<QueryId> = self
             .active
             .iter()
-            .filter(|(_, q)| {
-                q.in_flight.is_empty()
-                    && (q.first_error.is_some()
-                        || q.ctx.cancel.is_cancelled()
-                        || q.core.all_finished()
-                        || q.core.ready_len() == 0)
-            })
+            .filter(|(_, q)| q.query.run.is_settled())
             .map(|(&id, _)| id)
             .collect();
         for id in done {
@@ -943,86 +778,31 @@ impl SchedulerLoop {
         }
     }
 
-    /// Tear down one query — the same contract as a standalone run: metrics
-    /// are captured, then every byte it charged drains back through its
-    /// parented tracker to the service tracker, on success and error paths
-    /// alike. Its reservation is released and queued admissions retried.
+    /// Tear down one query through the shared [`PreparedQuery::finish`] —
+    /// the same contract as a standalone run: metrics are captured, then
+    /// every byte it charged drains back through its parented tracker to the
+    /// service tracker, on success and error paths alike. Its reservation is
+    /// released and queued admissions retried.
     fn finalize(&mut self, id: QueryId) {
-        let Some(mut q) = self.active.remove(&id) else {
+        let Some(q) = self.active.remove(&id) else {
             return;
         };
         self.order.retain(|&x| x != id);
-        // Error precedence mirrors the standalone driver: first work-order
-        // error, else a tripped token, else a stall diagnostic.
-        let mut error = q.first_error.take();
-        if error.is_none() && q.ctx.cancel.is_cancelled() {
-            error = Some(EngineError::Cancelled {
-                after: Duration::ZERO,
-                completed_work_orders: 0,
-            });
-        }
-        if error.is_none() && !q.core.all_finished() {
-            error = Some(q.core.stall_error());
-        }
-        let wall = q.ctx.elapsed();
-        let (blocks, mut metrics) = q.core.into_results(wall, self.config.workers);
-        metrics.plan_cache = q.cache;
         self.registry.remove(id);
-        match &error {
-            None => self.hub.add(HubCounter::QueriesCompleted, 1),
-            Some(EngineError::Cancelled { .. }) => self.hub.add(HubCounter::QueriesCancelled, 1),
-            Some(_) => self.hub.add(HubCounter::QueriesFailed, 1),
-        }
-        self.hub.record(
-            HubHistogram::QueryLatencyUs,
-            q.submitted.elapsed().as_micros() as u64,
-        );
-        let result = match error {
-            None => {
-                let trace = q
-                    .sink
-                    .map(|s| s.finish(q.ctx.plan.ops().iter().map(|op| op.name.clone()).collect()));
-                let explain = ExplainAnalyze::build(&q.ctx.plan, &metrics);
-                // An EXPLAIN ANALYZE submission delivers the rendered tree
-                // as its rows; everything measured stays attached.
-                let (schema, blocks) = if q.explain {
-                    explain.result_blocks()
-                } else {
-                    (q.schema, blocks)
-                };
-                Ok(QueryResult {
-                    schema,
-                    blocks,
-                    metrics,
-                    trace,
-                    explain: Some(explain),
-                })
+        let result = q.query.finish(q.submitted).map(|mut r| {
+            r.metrics.plan_cache = q.cache;
+            // An EXPLAIN ANALYZE submission delivers the rendered tree as
+            // its rows; everything measured stays attached.
+            if q.explain {
+                r.into_explain_rows()
+            } else {
+                r
             }
-            Some(e) => Err(crate::scheduler::finalize_error(e, wall, q.completed)),
-        };
+        });
         let _ = q.reply.send(result);
         self.reserved -= q.reservation;
         self.admit_pending();
     }
-}
-
-/// The per-plan half of [`crate::engine::Engine`]'s config validation:
-/// temporary blocks must hold at least one output tuple of every
-/// block-producing operator.
-fn validate_plan(plan: &QueryPlan, config: &ServiceConfig) -> Result<()> {
-    for (id, op) in plan.ops().iter().enumerate() {
-        if matches!(op.kind, OperatorKind::BuildHash { .. }) {
-            continue;
-        }
-        let width = op.out_schema.tuple_width();
-        if width > config.block_bytes {
-            return Err(EngineError::Config(format!(
-                "block_bytes={} cannot hold one {}-byte tuple of op{} ({})",
-                config.block_bytes, width, id, op.name
-            )));
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1030,7 +810,7 @@ mod tests {
     use super::*;
     use crate::plan::{JoinType, PlanBuilder, Source};
     use uot_expr::{cmp, col, lit, AggSpec, CmpOp};
-    use uot_storage::{DataType, Table, TableBuilder, Value};
+    use uot_storage::{DataType, Schema, Table, TableBuilder, Value};
 
     fn table(name: &str, n: i32) -> Arc<Table> {
         let s = Schema::from_pairs(&[("k", DataType::Int32), ("v", DataType::Float64)]);
@@ -1165,6 +945,32 @@ mod tests {
             Ok(r) => assert_eq!(r.rows()[0][0], Value::I64(20)),
         }
         assert_eq!(svc.memory_in_use(), 0, "teardown must drain the victim");
+    }
+
+    #[test]
+    fn handle_cancel_stops_mid_query() {
+        // A 400x400 nested-loops cross product: long enough that the cancel
+        // below always lands before the join finishes.
+        let t = table("cancel_t", 400);
+        let mut pb = PlanBuilder::new();
+        let inner = pb
+            .filter(Source::Table(t.clone()), cmp(col(0), CmpOp::Ge, lit(0i32)))
+            .unwrap();
+        let j = pb
+            .nested_loops(Source::Table(t), inner, vec![], vec![0], vec![0])
+            .unwrap();
+        let svc = small_service(1);
+        let handle = svc.submit(pb.build(j).unwrap()).unwrap();
+        handle.cancel();
+        match handle.wait() {
+            Err(EngineError::Cancelled { after, .. }) => assert!(after > Duration::ZERO),
+            Err(other) => panic!("expected Cancelled, got {other}"),
+            Ok(r) => panic!(
+                "query finished despite cancellation ({} rows)",
+                r.num_rows()
+            ),
+        }
+        assert_eq!(svc.memory_in_use(), 0, "teardown must drain the query");
     }
 
     #[test]

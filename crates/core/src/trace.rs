@@ -19,7 +19,6 @@
 
 use crate::fault::{FaultKind, FaultSite};
 use crate::plan::OpId;
-use crate::uot::Uot;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -128,13 +127,6 @@ pub enum TraceEventKind {
         /// Tracker bytes in use after the release.
         in_use: usize,
     },
-    /// The engine degraded the UoT after a tripped memory budget.
-    Degraded {
-        /// UoT of the failed attempt.
-        from: Uot,
-        /// UoT of the retry.
-        to: Uot,
-    },
     /// A fused pipeline ran to completion: every batch of the chain's input
     /// was pushed through the fused loop with zero blocks staged on interior
     /// edges. Emitted when the chain's tail operator finishes.
@@ -231,9 +223,7 @@ impl TraceEventKind {
                 producer,
                 ..
             } => Some(producer),
-            TraceEventKind::PoolFree { .. }
-            | TraceEventKind::Degraded { .. }
-            | TraceEventKind::Watchdog { .. } => None,
+            TraceEventKind::PoolFree { .. } | TraceEventKind::Watchdog { .. } => None,
         }
     }
 
@@ -251,7 +241,6 @@ impl TraceEventKind {
             TraceEventKind::OperatorFinished { .. } => "op_finish",
             TraceEventKind::PoolAlloc { .. } => "pool_alloc",
             TraceEventKind::PoolFree { .. } => "pool_free",
-            TraceEventKind::Degraded { .. } => "degrade",
             TraceEventKind::PipelineFused { .. } => "fused",
             TraceEventKind::SpillOut { .. } => "spill_out",
             TraceEventKind::SpillIn { .. } => "spill_in",
@@ -502,14 +491,6 @@ mod tests {
             }
             .op(),
             None
-        );
-        assert_eq!(
-            TraceEventKind::Degraded {
-                from: Uot::Table,
-                to: Uot::Blocks(1)
-            }
-            .label(),
-            "degrade"
         );
         let fused = TraceEventKind::PipelineFused {
             pipeline: 0,

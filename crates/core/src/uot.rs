@@ -50,20 +50,6 @@ impl Uot {
         }
     }
 
-    /// One step down the UoT spectrum toward [`Uot::LOW`] — the memory
-    /// footprint direction of the paper's Table II. `Table` drops to
-    /// `Blocks(1)` (budget pressure means the materialized intermediate does
-    /// not fit, so jump straight to the pipelining extreme); `Blocks(n)`
-    /// halves; `Blocks(1)` has nowhere lower to go and returns `None`.
-    #[inline]
-    pub fn degrade(self) -> Option<Uot> {
-        match self.normalized() {
-            Uot::Table => Some(Uot::Blocks(1)),
-            Uot::Blocks(n) if n > 1 => Some(Uot::Blocks(n / 2)),
-            Uot::Blocks(_) => None,
-        }
-    }
-
     /// Short label used in experiment output ("uot=1", "uot=table").
     pub fn label(self) -> String {
         match self {
@@ -115,16 +101,6 @@ mod tests {
         assert!(!Uot::LOW.is_high());
         assert!(Uot::HIGH.is_high());
         assert!(!Uot::Blocks(2).is_low());
-    }
-
-    #[test]
-    fn degrade_walks_toward_low() {
-        assert_eq!(Uot::Table.degrade(), Some(Uot::Blocks(1)));
-        assert_eq!(Uot::Blocks(8).degrade(), Some(Uot::Blocks(4)));
-        assert_eq!(Uot::Blocks(3).degrade(), Some(Uot::Blocks(1)));
-        assert_eq!(Uot::Blocks(2).degrade(), Some(Uot::Blocks(1)));
-        assert_eq!(Uot::Blocks(1).degrade(), None);
-        assert_eq!(Uot::Blocks(0).degrade(), None); // degenerate = Blocks(1)
     }
 
     #[test]

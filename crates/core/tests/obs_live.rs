@@ -2,7 +2,8 @@
 //! introspection endpoint enabled serves real Prometheus text and a live
 //! query table *while queries are in flight*, the always-on hub counters
 //! reconcile with what was submitted, the watchdog flags deadline-threatened
-//! queries, and `EXPLAIN ANALYZE` works through the service front door.
+//! queries, `EXPLAIN ANALYZE` works through the service front door, and a
+//! client dripping its request one byte at a time cannot stall the endpoint.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -315,4 +316,41 @@ fn service_explain_analyze_returns_the_annotated_tree() {
     assert!(plain.schema.len() > 1);
 
     service.shutdown();
+}
+
+#[test]
+fn slow_client_cannot_stall_the_endpoint() {
+    let svc = QueryService::start(ServiceConfig {
+        workers: 1,
+        http_port: Some(0),
+        ..Default::default()
+    })
+    .unwrap();
+    let addr = svc.http_addr().expect("endpoint bound");
+    // A client that drips one byte every 100 ms and never finishes its
+    // request head, for up to 10 s or until the server hangs up.
+    let mut slow = TcpStream::connect(addr).unwrap();
+    slow.write_all(b"G").unwrap();
+    let dripper = std::thread::spawn(move || {
+        let start = Instant::now();
+        while start.elapsed() < Duration::from_secs(10) {
+            std::thread::sleep(Duration::from_millis(100));
+            if slow.write_all(b"E").is_err() {
+                break;
+            }
+        }
+    });
+    // Let the accept thread pick up the slow connection first.
+    std::thread::sleep(Duration::from_millis(150));
+    let asked = Instant::now();
+    let (head, body) = get(addr, "/healthz");
+    let waited = asked.elapsed();
+    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+    assert_eq!(body, "ok\n");
+    assert!(
+        waited < Duration::from_secs(2),
+        "/healthz waited {waited:?} behind a drip-feeding client"
+    );
+    dripper.join().unwrap();
+    svc.shutdown();
 }

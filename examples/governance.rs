@@ -1,6 +1,6 @@
 //! Resource governance & failure handling: the execution-hardening layer in
-//! action — memory budgets, automatic UoT degradation, cooperative
-//! cancellation, deadlines, and contained injected panics.
+//! action — memory budgets, the disk spill tier, cooperative cancellation,
+//! deadlines, and contained injected panics.
 //!
 //! ```text
 //! cargo run --release --example governance
@@ -48,32 +48,38 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let err = strict.execute(wide_then_narrow(200)?).unwrap_err();
     println!("budget {budget} B at uot=table: {err}");
 
-    // 2. Same budget with degradation enabled: the engine retries once at a
-    //    halved-toward-Blocks(1) UoT and records the step in the metrics.
-    let governed = Engine::new(
+    // 2. Same budget with the spill tier armed: staged blocks the budget
+    //    cannot hold evict to temp files and fault back in at transfer time,
+    //    so the query completes at the same UoT.
+    let spilling = Engine::new(
         EngineConfig::serial()
             .with_block_bytes(96)
             .with_uot(Uot::Table)
-            .with_fusion(FusionPolicy::Never)
             .with_memory_budget(Some(budget))
-            .with_degrade(DegradePolicy::LowerUot),
+            .with_degrade(DegradePolicy::Spill),
     );
-    let result = governed.execute(wide_then_narrow(200)?)?;
+    let result = spilling.execute(wide_then_narrow(200)?)?;
     println!(
-        "with DegradePolicy::LowerUot: rows={:?} degradations={:?}",
+        "with DegradePolicy::Spill: rows={:?} spill events={} spilled={} B",
         result.rows(),
-        result.metrics.degradations
+        result.metrics.spill_events,
+        result.metrics.spilled_bytes
     );
 
-    // 3. Cooperative cancellation: a query on a background thread stops at
-    //    its next cancellation point when the token fires.
-    let engine = Engine::new(EngineConfig::parallel(2).with_block_bytes(96));
-    let (token, handle) = engine.run_cancellable(wide_then_narrow(5_000)?);
-    token.cancel();
-    match handle.join().expect("query thread") {
+    // 3. Cooperative cancellation: a query submitted to a service stops at
+    //    its next cancellation point when its handle is cancelled.
+    let service = QueryService::start(ServiceConfig {
+        workers: 2,
+        block_bytes: 96,
+        ..Default::default()
+    })?;
+    let handle = service.submit_with(wide_then_narrow(5_000)?, ExecOptions::default())?;
+    handle.cancel();
+    match handle.wait() {
         Err(e @ EngineError::Cancelled { .. }) => println!("cancelled: {e}"),
-        other => println!("finished before the token was observed: {other:?}"),
+        other => println!("finished before the cancel was observed: {other:?}"),
     }
+    service.shutdown();
 
     // 4. Deadlines: the same mechanism, armed by the engine itself.
     let deadlined = Engine::new(
@@ -96,7 +102,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let prev = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {})); // silence the expected panic print
     let err = engine
-        .execute_with_faults(wide_then_narrow(200)?, faults)
+        .execute_with(
+            wide_then_narrow(200)?,
+            ExecOptions::default().with_faults(faults),
+        )
         .unwrap_err();
     std::panic::set_hook(prev);
     println!("injected panic: {err}");

@@ -9,14 +9,11 @@
 //!
 //! * `trace_<uot>.json` — Chrome `trace_event` JSON; open in
 //!   `chrome://tracing` or <https://ui.perfetto.dev>.
-//! * `counters_<uot>.txt` — Prometheus text-exposition snapshot.
 //! * `uot_timeline_<uot>.csv` — per-edge staged-block occupancy over time
 //!   (the paper's Fig. 3/Fig. 5-shaped data come from this plus the task
 //!   time distributions printed below).
 
-use uot::engine::obs::{
-    chrome_trace_json, operator_time_shares, prometheus_snapshot, uot_timelines,
-};
+use uot::engine::obs::{chrome_trace_json, operator_time_shares, uot_timelines};
 use uot::engine::{Engine, EngineConfig, TraceConfig, Uot};
 use uot::storage::BlockFormat;
 use uot::tpch::{build_query, QueryId, TpchConfig, TpchDb};
@@ -60,11 +57,6 @@ fn main() {
         let chrome_path = out_dir.join(format!("trace_{slug}.json"));
         std::fs::write(&chrome_path, &chrome).expect("write chrome trace");
         println!("  chrome trace  -> {}", chrome_path.display());
-
-        let counters = prometheus_snapshot(trace);
-        let counters_path = out_dir.join(format!("counters_{slug}.txt"));
-        std::fs::write(&counters_path, &counters).expect("write counters");
-        println!("  counters      -> {}", counters_path.display());
 
         let mut csv = String::new();
         for tl in uot_timelines(trace) {

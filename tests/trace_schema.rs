@@ -1,13 +1,12 @@
 //! Schema check for exported query profiles: the Chrome `trace_event` JSON
 //! must actually be JSON (a hand-rolled recursive-descent parser below — the
-//! workspace deliberately has no serde), the trace must be non-empty for a
-//! real query, and the Prometheus snapshot must follow the text exposition
-//! format. CI runs this plus `examples/trace_profile.rs` and uploads the
-//! emitted files as an artifact.
+//! workspace deliberately has no serde) and the trace must be non-empty for
+//! a real query. CI runs this plus `examples/trace_profile.rs` and uploads
+//! the emitted files as an artifact.
 
 use std::collections::HashMap;
 
-use uot::engine::obs::{chrome_trace_json, prometheus_snapshot};
+use uot::engine::obs::chrome_trace_json;
 use uot::engine::{Engine, EngineConfig, TraceConfig, Uot};
 use uot::storage::BlockFormat;
 use uot::tpch::{build_query, QueryId, TpchConfig, TpchDb};
@@ -302,35 +301,6 @@ fn chrome_trace_is_valid_nonempty_json() {
     // instants (dispatches, transfers) and counters (pool occupancy).
     for ph in ["M", "X", "i", "C"] {
         assert!(phases.contains_key(ph), "no {ph:?} events: {phases:?}");
-    }
-}
-
-#[test]
-fn prometheus_snapshot_follows_exposition_format() {
-    let result = traced_q3();
-    let text = prometheus_snapshot(result.trace.as_ref().unwrap());
-    assert!(text.contains("# TYPE uot_work_orders_total counter"));
-    assert!(text.contains("uot_trace_events_total"));
-    let mut typed: Option<String> = None;
-    for line in text.lines() {
-        if let Some(rest) = line.strip_prefix("# TYPE ") {
-            let mut parts = rest.split_whitespace();
-            typed = parts.next().map(str::to_string);
-            assert!(
-                matches!(parts.next(), Some("counter" | "gauge")),
-                "bad TYPE line: {line}"
-            );
-        } else if !line.starts_with('#') && !line.is_empty() {
-            // Sample lines belong to the family most recently declared and
-            // end in a finite number.
-            let name = typed.as_deref().expect("sample before any # TYPE");
-            assert!(line.starts_with(name), "stray sample {line:?}");
-            let value = line.rsplit(' ').next().unwrap();
-            assert!(
-                value.parse::<f64>().is_ok_and(f64::is_finite),
-                "bad value in {line:?}"
-            );
-        }
     }
 }
 
