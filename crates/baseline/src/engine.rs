@@ -399,10 +399,12 @@ impl BaselineEngine {
         let mut rows: Vec<Vec<Value>> = groups
             .into_values()
             .map(|(mut g, states)| {
-                g.extend(states.iter().map(|s| s.finalize()));
-                g
+                for s in &states {
+                    g.push(s.finalize()?);
+                }
+                Ok(g)
             })
-            .collect();
+            .collect::<Result<_>>()?;
         rows.sort_by(|a, b| cmp_rows(a, b));
         Ok(rows)
     }

@@ -86,6 +86,14 @@ pub enum EngineError {
         /// Why admission failed.
         reason: String,
     },
+    /// An aggregate's integer result does not fit its output type (an
+    /// integer `SUM` beyond `Int64`).
+    Overflow {
+        /// Display name of the aggregate operator.
+        op: String,
+        /// What overflowed.
+        detail: String,
+    },
     /// The service was shut down before this query could run to completion.
     ServiceShutdown,
     /// Execution-time invariant violation.
@@ -144,6 +152,9 @@ impl fmt::Display for EngineError {
             ),
             EngineError::ServiceShutdown => {
                 write!(f, "query service shut down before the query completed")
+            }
+            EngineError::Overflow { op, detail } => {
+                write!(f, "aggregate operator {op}: {detail}")
             }
             EngineError::Internal(msg) => write!(f, "internal engine error: {msg}"),
         }

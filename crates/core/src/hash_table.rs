@@ -36,16 +36,16 @@ use uot_storage::{
 };
 
 /// Sentinel for "no slot / end of chain".
-const NIL: u32 = u32::MAX;
+pub(crate) const NIL: u32 = u32::MAX;
 
 /// How many rows ahead of the resolve cursor pass 1 prefetches. Far enough to
 /// cover DRAM latency at ~1 ns/row of resolve work, near enough to stay in L1.
-const PREFETCH_DIST: usize = 16;
+pub(crate) const PREFETCH_DIST: usize = 16;
 
 /// Prefetch the cache line holding `*p` into L1 (read intent). No-op on
 /// architectures without an explicit prefetch hint.
 #[inline(always)]
-fn prefetch_read<T>(p: *const T) {
+pub(crate) fn prefetch_read<T>(p: *const T) {
     #[cfg(target_arch = "x86_64")]
     unsafe {
         use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
@@ -111,6 +111,57 @@ impl<'a> PayloadRef<'a> {
     }
 }
 
+/// A slot of a linear-probed, power-of-two open-addressing array. The join
+/// table's shards and the aggregation group table
+/// ([`crate::ops::aggregate::GroupTable`]) share the probing, growth and
+/// load-factor rules below through this trait.
+pub(crate) trait OpenSlot: Clone {
+    /// An unoccupied slot.
+    fn vacant() -> Self;
+    /// True for an unoccupied slot.
+    fn is_vacant(&self) -> bool;
+}
+
+/// True when inserting one more key would pass the 7/8 load factor (or the
+/// array is still unallocated), so linear probes stay short.
+#[inline(always)]
+pub(crate) fn needs_grow(occupied: usize, capacity: usize) -> bool {
+    (occupied + 1) * 8 > capacity * 7
+}
+
+/// Double (or initialize to 8) a slot array and re-place every occupied slot
+/// by its key's full hash (placement uses the bottom bits).
+pub(crate) fn grow_slots<S: OpenSlot>(slots: &mut Vec<S>, hash: impl Fn(&S) -> u64) {
+    let new_cap = (slots.len() * 2).max(8);
+    let old = std::mem::replace(slots, vec![S::vacant(); new_cap]);
+    let mask = new_cap - 1;
+    for s in old {
+        if s.is_vacant() {
+            continue;
+        }
+        let mut idx = (hash(&s) as usize) & mask;
+        while !slots[idx].is_vacant() {
+            idx = (idx + 1) & mask;
+        }
+        slots[idx] = s;
+    }
+}
+
+/// Linear probe from the home slot of `hash` to the first slot that is
+/// vacant or holds the key (`hit`). `slots` must be non-empty.
+#[inline(always)]
+pub(crate) fn probe_slot<S: OpenSlot>(slots: &[S], hash: u64, hit: impl Fn(&S) -> bool) -> usize {
+    let mask = slots.len() - 1;
+    let mut idx = (hash as usize) & mask;
+    loop {
+        let s = &slots[idx];
+        if s.is_vacant() || hit(s) {
+            return idx;
+        }
+        idx = (idx + 1) & mask;
+    }
+}
+
 /// One open-addressing slot: a distinct key plus the head of its duplicate
 /// chain in the shard's `links` array. `head == NIL` marks a vacant slot.
 #[derive(Debug, Clone)]
@@ -120,13 +171,18 @@ struct Slot {
     key: HashKey,
 }
 
-impl Slot {
+impl OpenSlot for Slot {
     fn vacant() -> Slot {
         Slot {
             hash: 0,
             head: NIL,
             key: HashKey::Fixed(0, 0),
         }
+    }
+
+    #[inline]
+    fn is_vacant(&self) -> bool {
+        self.head == NIL
     }
 }
 
@@ -156,23 +212,6 @@ struct Shard {
 }
 
 impl Shard {
-    /// Double (or initialize) the slot array and re-place every occupied slot.
-    fn grow(&mut self) {
-        let new_cap = (self.slots.len() * 2).max(8);
-        let old = std::mem::replace(&mut self.slots, vec![Slot::vacant(); new_cap]);
-        let mask = new_cap - 1;
-        for s in old {
-            if s.head == NIL {
-                continue;
-            }
-            let mut idx = (s.hash as usize) & mask;
-            while self.slots[idx].head != NIL {
-                idx = (idx + 1) & mask;
-            }
-            self.slots[idx] = s;
-        }
-    }
-
     /// Insert one payload row under a key described by (`hash`, `eq`,
     /// `make`): `eq` tests a stored key for equality, `make` materializes the
     /// key only when a new slot is claimed.
@@ -183,35 +222,26 @@ impl Shard {
         make: impl FnOnce() -> HashKey,
         payload: u32,
     ) {
-        // Grow at 7/8 load so linear probes stay short.
-        if (self.occupied + 1) * 8 > self.slots.len() * 7 {
-            self.grow();
+        if needs_grow(self.occupied, self.slots.len()) {
+            grow_slots(&mut self.slots, |s| s.hash);
         }
-        let mask = self.slots.len() - 1;
-        let mut idx = (hash as usize) & mask;
-        loop {
-            let s = &mut self.slots[idx];
-            if s.head == NIL {
-                let link = self.links.len() as u32;
-                self.links.push(Link { payload, next: NIL });
-                *s = Slot {
-                    hash,
-                    head: link,
-                    key: make(),
-                };
-                self.occupied += 1;
-                return;
-            }
-            if s.hash == hash && eq(&s.key) {
-                let link = self.links.len() as u32;
-                self.links.push(Link {
-                    payload,
-                    next: s.head,
-                });
-                s.head = link;
-                return;
-            }
-            idx = (idx + 1) & mask;
+        let idx = probe_slot(&self.slots, hash, |s| s.hash == hash && eq(&s.key));
+        let link = self.links.len() as u32;
+        let s = &mut self.slots[idx];
+        if s.is_vacant() {
+            self.links.push(Link { payload, next: NIL });
+            *s = Slot {
+                hash,
+                head: link,
+                key: make(),
+            };
+            self.occupied += 1;
+        } else {
+            self.links.push(Link {
+                payload,
+                next: s.head,
+            });
+            s.head = link;
         }
     }
 
@@ -221,18 +251,7 @@ impl Shard {
         if self.slots.is_empty() {
             return NIL;
         }
-        let mask = self.slots.len() - 1;
-        let mut idx = (hash as usize) & mask;
-        loop {
-            let s = &self.slots[idx];
-            if s.head == NIL {
-                return NIL;
-            }
-            if s.hash == hash && eq(&s.key) {
-                return s.head;
-            }
-            idx = (idx + 1) & mask;
-        }
+        self.slots[probe_slot(&self.slots, hash, |s| s.hash == hash && eq(&s.key))].head
     }
 }
 

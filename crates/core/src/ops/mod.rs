@@ -236,14 +236,41 @@ fn trace_alloc(ctx: &ExecContext, op: usize, before: Option<usize>) {
     }
 }
 
-/// Append value rows (slow path: aggregate/sort results) to the operator's
-/// output buffer, returning completed blocks. On a failed checkout or
-/// append, every block this call holds is discarded so the tracker does not
-/// leak bytes on error paths.
+/// Append value rows (slow path: sort results) to the operator's output
+/// buffer, returning completed blocks.
 pub(crate) fn emit_value_rows(
     ctx: &ExecContext,
     op: usize,
     rows: impl Iterator<Item = Vec<Value>>,
+) -> Result<Vec<StorageBlock>> {
+    emit_rows(ctx, op, rows, |block, row| Ok(block.append_row(row)?))
+}
+
+/// Append every row of `src` (a virtual block of the operator's output
+/// schema) to the operator's output buffer with typed copies, returning
+/// completed blocks: the same blocks [`emit_value_rows`] produces for the
+/// same rows.
+pub(crate) fn emit_block_rows(
+    ctx: &ExecContext,
+    op: usize,
+    src: &StorageBlock,
+) -> Result<Vec<StorageBlock>> {
+    let cols: Vec<usize> = (0..src.schema().len()).collect();
+    emit_rows(ctx, op, 0..src.num_rows(), |block, &row| {
+        Ok(block.append_projected(src, row, &cols))
+    })
+}
+
+/// The shared emit loop of the finalize operators: check a block out only
+/// when a row needs one, rotate it out when full (honoring cancellation
+/// between blocks), and put a trailing partial block back. On a failed
+/// checkout, append or cancellation check, every block this call holds is
+/// discarded so the tracker does not leak bytes on error paths.
+fn emit_rows<R>(
+    ctx: &ExecContext,
+    op: usize,
+    rows: impl Iterator<Item = R>,
+    mut append: impl FnMut(&mut StorageBlock, &R) -> Result<bool>,
 ) -> Result<Vec<StorageBlock>> {
     apply_fault(ctx, FaultSite::PoolAlloc, op)?;
     let before = traced_in_use(ctx);
@@ -260,14 +287,16 @@ pub(crate) fn emit_value_rows(
                         cur.as_mut().expect("just set")
                     }
                 };
-                if block.append_row(&row)? {
-                    if block.is_full() {
-                        completed.push(cur.take().expect("present"));
-                    }
+                let appended = append(block, &row)?;
+                // Rotate a full block out: it filled up with this row, or
+                // was full before it.
+                if !appended || block.is_full() {
+                    completed.push(cur.take().expect("present"));
+                    ctx.check_cancelled()?;
+                }
+                if appended {
                     break;
                 }
-                // Block was full before the append: rotate it out.
-                completed.push(cur.take().expect("present"));
             }
         }
         Ok(())

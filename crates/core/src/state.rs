@@ -3,7 +3,7 @@
 //! Work orders run on worker threads and only touch this state plus their
 //! input block; all scheduling decisions stay in the scheduler thread. The
 //! state is therefore limited to thread-safe structures: output buffers,
-//! shared join hash tables, aggregate partial lists, collected block lists
+//! shared join hash tables, aggregate group tables, collected block lists
 //! (sort input / nested-loops inner side) and the limit counter.
 
 use crate::bloom::BloomFilter;
@@ -11,6 +11,7 @@ use crate::cancel::CancellationToken;
 use crate::error::EngineError;
 use crate::fault::FaultPlan;
 use crate::hash_table::{JoinHashTable, ProbeMatch};
+use crate::ops::aggregate::GroupTable;
 use crate::output::OutputBuffer;
 use crate::plan::{OperatorKind, QueryPlan, Source};
 use crate::Result;
@@ -81,7 +82,8 @@ impl GraceJoinState {
     }
 }
 
-/// One group's accumulated state in a hash aggregation.
+/// One group's accumulated state in the scalar reference aggregation
+/// ([`crate::ops::aggregate::execute_block_scalar`]).
 #[derive(Debug, Clone)]
 pub struct GroupEntry {
     /// The grouping-column values (materialized once per group).
@@ -90,7 +92,7 @@ pub struct GroupEntry {
     pub states: Vec<AggState>,
 }
 
-/// A per-work-order partial aggregation result.
+/// A per-block partial of the scalar reference aggregation.
 #[derive(Debug, Default)]
 pub struct AggPartial {
     /// Group key → accumulated entry.
@@ -109,7 +111,11 @@ pub struct OpRuntime {
     pub bloom: Option<Arc<BloomFilter>>,
     /// Rows dropped by LIP filters at this select (metrics).
     pub lip_pruned: std::sync::atomic::AtomicUsize,
-    /// Partial aggregates awaiting the finalize step (only for `Aggregate`).
+    /// Free list of group tables (only for `Aggregate`): a stream work
+    /// order checks one out and puts it back, so there is one table per
+    /// concurrently running work order; finalize merges them all.
+    pub agg_tables: Mutex<Vec<GroupTable>>,
+    /// Per-block partials of the scalar reference aggregation.
     pub agg_partials: Mutex<Vec<AggPartial>>,
     /// Collected input blocks: the sort input, or the materialized inner
     /// side of a nested-loops join.
@@ -132,6 +138,8 @@ pub struct Scratch {
     pub exists: Vec<bool>,
     /// Selected row indices (semi/anti output, LIP survivors).
     pub rows: Vec<u32>,
+    /// One group id per row of the current block (hash aggregation).
+    pub group_ids: Vec<u32>,
 }
 
 /// One group of LIP filters sharing a key-column set: keys are extracted and
@@ -286,6 +294,7 @@ impl ExecContext {
                 hash_table,
                 bloom,
                 lip_pruned: std::sync::atomic::AtomicUsize::new(0),
+                agg_tables: Mutex::new(Vec::new()),
                 agg_partials: Mutex::new(Vec::new()),
                 collected: Mutex::new(Vec::new()),
                 limit_remaining,

@@ -176,7 +176,9 @@ impl AggSpec {
 #[derive(Debug, Clone, PartialEq)]
 enum StateKind {
     Count(u64),
-    SumI(i64),
+    // Integer sums accumulate in `i128`: exact for any realistic row count
+    // and partition, checked against `i64` once, at finalize.
+    SumI(i128),
     // Float sums use the exact accumulator so results are bit-identical
     // regardless of how rows were split into per-work-order partials — query
     // output must not depend on blocking, UoT, or degree of parallelism.
@@ -201,8 +203,8 @@ impl AggState {
         match &mut self.kind {
             StateKind::Count(c) => *c += col.len() as u64,
             StateKind::SumI(acc) => match col {
-                ColumnData::I32(v) => *acc += v.iter().map(|&x| x as i64).sum::<i64>(),
-                ColumnData::I64(v) => *acc += v.iter().sum::<i64>(),
+                ColumnData::I32(v) => *acc += v.iter().map(|&x| x as i128).sum::<i128>(),
+                ColumnData::I64(v) => *acc += v.iter().map(|&x| x as i128).sum::<i128>(),
                 other => return Err(bad("SUM(int)", other)),
             },
             StateKind::SumF(acc) => match col {
@@ -249,13 +251,7 @@ impl AggState {
                     for &x in v {
                         *value = Some(match *value {
                             None => x,
-                            Some(cur) => {
-                                if *is_min {
-                                    cur.min(x)
-                                } else {
-                                    cur.max(x)
-                                }
-                            }
+                            Some(cur) => float_extreme(cur, x, *is_min),
                         });
                     }
                 }
@@ -302,13 +298,7 @@ impl AggState {
                 if let Some(y) = b {
                     *a = Some(match a {
                         None => *y,
-                        Some(x) => {
-                            if *is_min {
-                                x.min(*y)
-                            } else {
-                                x.max(*y)
-                            }
-                        }
+                        Some(x) => float_extreme(*x, *y, *is_min),
                     });
                 }
             }
@@ -319,10 +309,12 @@ impl AggState {
     /// Final value. Empty-input conventions: `SUM` → 0, `COUNT` → 0,
     /// `AVG` → 0.0, `MIN`/`MAX` → the type's zero (engine-level queries guard
     /// against empty groups; groups only exist once a row mapped to them).
-    pub fn finalize(&self) -> Value {
-        match &self.kind {
+    /// Fails with [`ExprError::Overflow`] when an integer `SUM` does not fit
+    /// its `Int64` output.
+    pub fn finalize(&self) -> Result<Value> {
+        Ok(match &self.kind {
             StateKind::Count(c) => Value::I64(*c as i64),
-            StateKind::SumI(s) => Value::I64(*s),
+            StateKind::SumI(s) => Value::I64(int_sum_result(*s)?),
             StateKind::SumF(s) => Value::F64(s.value()),
             StateKind::Avg { sum, count } => {
                 if *count == 0 {
@@ -340,7 +332,39 @@ impl AggState {
                 }
             }
             StateKind::ExtremeF { value, .. } => Value::F64(value.unwrap_or(0.0)),
-        }
+        })
+    }
+}
+
+/// The `Int64` result of an integer `SUM` accumulated in `i128`.
+pub fn int_sum_result(sum: i128) -> Result<i64> {
+    i64::try_from(sum).map_err(|_| ExprError::Overflow {
+        context: "SUM over integers (result exceeds Int64)",
+    })
+}
+
+/// `MIN` (`is_min`) or `MAX` of two floats as a pure function of the pair:
+/// a NaN operand yields the other one (as `f64::min` does), and `-0.0`
+/// orders below `0.0`, so the result never depends on operand order or on
+/// how rows were split into partials.
+#[inline]
+pub fn float_extreme(a: f64, b: f64, is_min: bool) -> f64 {
+    if a.is_nan() {
+        return b;
+    }
+    if b.is_nan() {
+        return a;
+    }
+    let a_first = match a.partial_cmp(&b) {
+        Some(std::cmp::Ordering::Less) => true,
+        Some(std::cmp::Ordering::Greater) => false,
+        // Equal: only ±0 differ, by sign.
+        _ => a.is_sign_negative(),
+    };
+    if a_first == is_min {
+        a
+    } else {
+        b
     }
 }
 
@@ -410,11 +434,11 @@ mod tests {
         let mut st = AggSpec::sum(col(0)).init_state(&s).unwrap();
         st.update_column(&ColumnData::I32(vec![1, 2, 3])).unwrap();
         st.update_column(&ColumnData::I32(vec![10])).unwrap();
-        assert_eq!(st.finalize(), Value::I64(16));
+        assert_eq!(st.finalize().unwrap(), Value::I64(16));
 
         let mut st = AggSpec::sum(col(1)).init_state(&s).unwrap();
         st.update_column(&ColumnData::F64(vec![1.5, 2.5])).unwrap();
-        assert_eq!(st.finalize(), Value::F64(4.0));
+        assert_eq!(st.finalize().unwrap(), Value::F64(4.0));
     }
 
     #[test]
@@ -423,14 +447,14 @@ mod tests {
         let mut c = AggSpec::count_star().init_state(&s).unwrap();
         c.update_count(5);
         c.update_count(3);
-        assert_eq!(c.finalize(), Value::I64(8));
+        assert_eq!(c.finalize().unwrap(), Value::I64(8));
 
         let mut a = AggSpec::avg(col(0)).init_state(&s).unwrap();
         a.update_column(&ColumnData::I32(vec![2, 4, 6])).unwrap();
-        assert_eq!(a.finalize(), Value::F64(4.0));
+        assert_eq!(a.finalize().unwrap(), Value::F64(4.0));
         // empty avg finalizes to 0.0 rather than NaN
         let a = AggSpec::avg(col(0)).init_state(&s).unwrap();
-        assert_eq!(a.finalize(), Value::F64(0.0));
+        assert_eq!(a.finalize().unwrap(), Value::F64(0.0));
     }
 
     #[test]
@@ -438,17 +462,17 @@ mod tests {
         let s = schema();
         let mut mn = AggSpec::min(col(0)).init_state(&s).unwrap();
         mn.update_column(&ColumnData::I32(vec![5, 3, 9])).unwrap();
-        assert_eq!(mn.finalize(), Value::I32(3));
+        assert_eq!(mn.finalize().unwrap(), Value::I32(3));
 
         let mut mx = AggSpec::max(col(1)).init_state(&s).unwrap();
         mx.update_column(&ColumnData::F64(vec![1.5, 7.5, 2.0]))
             .unwrap();
-        assert_eq!(mx.finalize(), Value::F64(7.5));
+        assert_eq!(mx.finalize().unwrap(), Value::F64(7.5));
 
         let mut md = AggSpec::max(col(2)).init_state(&s).unwrap();
         md.update_column(&ColumnData::Date(vec![100, 300, 200]))
             .unwrap();
-        assert_eq!(md.finalize(), Value::Date(300));
+        assert_eq!(md.finalize().unwrap(), Value::Date(300));
     }
 
     #[test]
@@ -460,17 +484,17 @@ mod tests {
         let mut b = spec.init_state(&s).unwrap();
         b.update_column(&ColumnData::F64(vec![6.0])).unwrap();
         a.merge(&b);
-        assert_eq!(a.finalize(), Value::F64(3.0));
+        assert_eq!(a.finalize().unwrap(), Value::F64(3.0));
 
         let spec = AggSpec::min(col(0));
         let mut a = spec.init_state(&s).unwrap();
         let mut b = spec.init_state(&s).unwrap();
         b.update_column(&ColumnData::I32(vec![4])).unwrap();
         a.merge(&b); // empty + non-empty
-        assert_eq!(a.finalize(), Value::I32(4));
+        assert_eq!(a.finalize().unwrap(), Value::I32(4));
         let empty = spec.init_state(&s).unwrap();
         a.merge(&empty); // non-empty + empty keeps value
-        assert_eq!(a.finalize(), Value::I32(4));
+        assert_eq!(a.finalize().unwrap(), Value::I32(4));
     }
 
     #[test]
@@ -482,7 +506,7 @@ mod tests {
         let mut b = spec.init_state(&s).unwrap();
         b.update_column(&ColumnData::I32(vec![2, 3])).unwrap();
         a.merge(&b);
-        assert_eq!(a.finalize(), Value::I64(6));
+        assert_eq!(a.finalize().unwrap(), Value::I64(6));
 
         let spec = AggSpec::count_star();
         let mut a = spec.init_state(&s).unwrap();
@@ -490,7 +514,7 @@ mod tests {
         let mut b = spec.init_state(&s).unwrap();
         b.update_count(5);
         a.merge(&b);
-        assert_eq!(a.finalize(), Value::I64(7));
+        assert_eq!(a.finalize().unwrap(), Value::I64(7));
     }
 
     #[test]
@@ -498,7 +522,7 @@ mod tests {
         let s = schema();
         let mut c = AggSpec::count(col(0)).init_state(&s).unwrap();
         c.update_column(&ColumnData::I32(vec![9, 9, 9])).unwrap();
-        assert_eq!(c.finalize(), Value::I64(3));
+        assert_eq!(c.finalize().unwrap(), Value::I64(3));
     }
 
     #[test]
@@ -517,6 +541,6 @@ mod tests {
         let spec = AggSpec::sum(col(0).mul(lit(2i32)));
         let mut st = spec.init_state(&s).unwrap();
         st.update_column(&ColumnData::I64(vec![2, 4])).unwrap();
-        assert_eq!(st.finalize(), Value::I64(6));
+        assert_eq!(st.finalize().unwrap(), Value::I64(6));
     }
 }

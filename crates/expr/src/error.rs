@@ -29,6 +29,11 @@ pub enum ExprError {
         /// Schema arity.
         len: usize,
     },
+    /// An integer result does not fit its output type.
+    Overflow {
+        /// What overflowed.
+        context: &'static str,
+    },
     /// An underlying storage error.
     Storage(StorageError),
 }
@@ -47,6 +52,7 @@ impl fmt::Display for ExprError {
             ExprError::ColumnOutOfRange { index, len } => {
                 write!(f, "column {index} out of range ({len} columns)")
             }
+            ExprError::Overflow { context } => write!(f, "arithmetic overflow in {context}"),
             ExprError::Storage(e) => write!(f, "storage error: {e}"),
         }
     }

@@ -17,6 +17,13 @@
 //! value bits each stored in `i64`. Each add splits the 53-bit significand
 //! across at most three limbs; limbs absorb signed contributions and are
 //! carry-normalized lazily, so the hot path is three integer adds.
+//!
+//! The register is 544 bytes, too large to keep one per group in a hash
+//! aggregation. [`CompactF64Sum`] keeps the same contract in 32 bytes: a
+//! 127-bit fixed-point window (`i128` at a per-sum exponent) that holds the
+//! exact sum while the inputs' exponents stay close together — sums of
+//! prices, quantities and discounts always do — and widens on demand to a
+//! boxed [`ExactF64Sum`] when an add or merge would not fit.
 
 /// Number of 32-bit limbs: ceil(2098 value bits / 32) = 66, plus 2 for carry
 /// headroom when many maximal values accumulate before normalization.
@@ -29,17 +36,74 @@ const LIMB_MASK: u64 = (1 << LIMB_BITS) - 1;
 /// and merging two accumulators stays below `i64::MAX`.
 const NORM_INTERVAL: u32 = 1 << 28;
 
+/// The non-finite inputs seen so far, as flags. IEEE rules decide the
+/// result (any NaN poisons the sum, infinities of one sign saturate,
+/// opposing infinities yield NaN); keeping flags instead of a running `f64`
+/// makes even the NaN bit pattern independent of add order.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct NonFinite(u8);
+
+impl NonFinite {
+    const NAN: u8 = 1;
+    const POS_INF: u8 = 2;
+    const NEG_INF: u8 = 4;
+
+    #[inline]
+    fn add(&mut self, v: f64) {
+        self.0 |= if v.is_nan() {
+            Self::NAN
+        } else if v > 0.0 {
+            Self::POS_INF
+        } else {
+            Self::NEG_INF
+        };
+    }
+
+    #[inline]
+    fn merge(&mut self, other: NonFinite) {
+        self.0 |= other.0;
+    }
+
+    /// The sum's value when a non-finite input decides it.
+    #[inline]
+    fn value(self) -> Option<f64> {
+        match self.0 {
+            0 => None,
+            Self::POS_INF => Some(f64::INFINITY),
+            Self::NEG_INF => Some(f64::NEG_INFINITY),
+            _ => Some(f64::NAN),
+        }
+    }
+}
+
+/// Split a finite, non-zero `v` into its sign, 53-bit significand and the
+/// register bit position of the significand's least bit (position 0 carries
+/// weight `2^-1074`).
+#[inline]
+fn decompose(v: f64) -> (bool, u64, u32) {
+    let bits = v.to_bits();
+    let negative = (bits >> 63) != 0;
+    let biased = ((bits >> 52) & 0x7ff) as u32;
+    let frac = bits & ((1u64 << 52) - 1);
+    if biased == 0 {
+        (negative, frac, 0)
+    } else {
+        (negative, frac | (1 << 52), biased - 1)
+    }
+}
+
 /// An exact accumulator for `f64` addition.
 ///
 /// `add` and `merge` are associative and commutative over the represented
 /// value; `value()` rounds once (to nearest, ties to even). Non-finite
-/// inputs short-circuit to IEEE semantics: any NaN poisons the sum, infinities
-/// of one sign saturate, and opposing infinities yield NaN.
+/// inputs follow IEEE semantics: any NaN poisons the sum (the result is
+/// always `f64::NAN`), infinities of one sign saturate, and opposing
+/// infinities yield NaN.
 #[derive(Debug, Clone)]
 pub struct ExactF64Sum {
     limbs: [i64; LIMBS],
-    /// IEEE-propagated combination of non-finite inputs, if any.
-    non_finite: Option<f64>,
+    /// Non-finite inputs seen, if any.
+    non_finite: NonFinite,
     /// Adds since the last carry normalization.
     pending: u32,
 }
@@ -58,12 +122,7 @@ impl PartialEq for ExactF64Sum {
         let mut b = other.clone();
         a.normalize();
         b.normalize();
-        a.limbs == b.limbs
-            && match (a.non_finite, b.non_finite) {
-                (None, None) => true,
-                (Some(x), Some(y)) => x.to_bits() == y.to_bits(),
-                _ => false,
-            }
+        a.limbs == b.limbs && a.non_finite == b.non_finite
     }
 }
 
@@ -72,7 +131,7 @@ impl ExactF64Sum {
     pub fn new() -> Self {
         ExactF64Sum {
             limbs: [0; LIMBS],
-            non_finite: None,
+            non_finite: NonFinite::default(),
             pending: 0,
         }
     }
@@ -81,28 +140,15 @@ impl ExactF64Sum {
     #[inline]
     pub fn add(&mut self, v: f64) {
         if !v.is_finite() {
-            self.non_finite = Some(match self.non_finite {
-                None => v,
-                Some(prev) => prev + v,
-            });
+            self.non_finite.add(v);
             return;
         }
         if v == 0.0 {
             return;
         }
-        let bits = v.to_bits();
-        let negative = (bits >> 63) != 0;
-        let biased = ((bits >> 52) & 0x7ff) as i64;
-        let frac = bits & ((1u64 << 52) - 1);
-        // Significand and the register bit position of its least bit
-        // (position 0 carries weight 2^-1074).
-        let (sig, pos) = if biased == 0 {
-            (frac, 0i64)
-        } else {
-            (frac | (1 << 52), biased - 1)
-        };
+        let (negative, sig, pos) = decompose(v);
         let limb = (pos >> 5) as usize;
-        let shift = (pos & 31) as u32;
+        let shift = pos & 31;
         let wide = (sig as u128) << shift; // at most 53 + 31 = 84 bits
         let c0 = (wide as u64 & LIMB_MASK) as i64;
         let c1 = ((wide >> LIMB_BITS) as u64 & LIMB_MASK) as i64;
@@ -122,14 +168,43 @@ impl ExactF64Sum {
         }
     }
 
+    /// Add the fixed-point value `acc × 2^(lsb − 1074)` exactly (a
+    /// [`CompactF64Sum`] window; its magnitude is the exact sum of finite
+    /// inputs, so it fits the register wherever those inputs did).
+    fn add_fixed(&mut self, acc: i128, lsb: u32) {
+        let negative = acc < 0;
+        let mut mag = acc.unsigned_abs();
+        let mut limb = (lsb >> 5) as usize;
+        let shift = lsb & 31;
+        while mag != 0 {
+            let wide = ((mag as u64) & LIMB_MASK) << shift; // at most 63 bits
+            let c0 = (wide & LIMB_MASK) as i64;
+            let c1 = (wide >> LIMB_BITS) as i64;
+            if negative {
+                self.limbs[limb] -= c0;
+            } else {
+                self.limbs[limb] += c0;
+            }
+            if c1 != 0 {
+                if negative {
+                    self.limbs[limb + 1] -= c1;
+                } else {
+                    self.limbs[limb + 1] += c1;
+                }
+            }
+            mag >>= LIMB_BITS;
+            limb += 1;
+        }
+        // Each limb took at most two sub-2^32 contributions.
+        self.pending += 2;
+        if self.pending >= NORM_INTERVAL {
+            self.normalize();
+        }
+    }
+
     /// Fold another accumulator in. Exact; order-invariant.
     pub fn merge(&mut self, other: &ExactF64Sum) {
-        if let Some(nf) = other.non_finite {
-            self.non_finite = Some(match self.non_finite {
-                None => nf,
-                Some(prev) => prev + nf,
-            });
-        }
+        self.non_finite.merge(other.non_finite);
         if self.pending.saturating_add(other.pending) >= NORM_INTERVAL {
             self.normalize();
         }
@@ -170,7 +245,7 @@ impl ExactF64Sum {
 
     /// The correctly rounded (nearest, ties to even) value of the sum.
     pub fn value(&self) -> f64 {
-        if let Some(nf) = self.non_finite {
+        if let Some(nf) = self.non_finite.value() {
             return nf;
         }
         let mut acc = self.clone();
@@ -241,6 +316,158 @@ impl ExactF64Sum {
             v
         }
     }
+}
+
+/// An exact `f64` accumulator with [`ExactF64Sum`]'s contract in 32 bytes.
+///
+/// While the running sum fits, it is held as `acc × 2^(lsb − 1074)`: an
+/// `i128` integer at a per-sum exponent, lowered on demand (by shifting
+/// `acc` left) to take a smaller input. An add or merge that would overflow
+/// the window moves the sum into a boxed [`ExactF64Sum`] for good. Both
+/// representations are exact, so `value()` is the correctly rounded sum of
+/// the input multiset — bit-identical to an [`ExactF64Sum`] fed the same
+/// values under any order, partition or merge tree.
+#[derive(Debug, Clone, Default)]
+pub struct CompactF64Sum {
+    /// The exact sum of the finite inputs, in units of `2^(lsb − 1074)`,
+    /// while `wide` is `None`.
+    acc: i128,
+    /// Register bit position of `acc`'s unit.
+    lsb: u32,
+    /// Non-finite inputs seen, if any.
+    non_finite: NonFinite,
+    /// The superaccumulator, once the window overflowed.
+    wide: Option<Box<ExactF64Sum>>,
+}
+
+impl CompactF64Sum {
+    /// The empty sum (value `0.0`).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Add one value. Exact for all finite inputs.
+    #[inline]
+    pub fn add(&mut self, v: f64) {
+        if !v.is_finite() {
+            self.non_finite.add(v);
+            return;
+        }
+        if v == 0.0 {
+            return;
+        }
+        if let Some(w) = &mut self.wide {
+            w.add(v);
+            return;
+        }
+        let (negative, sig, pos) = decompose(v);
+        let x = if negative {
+            -(sig as i128)
+        } else {
+            sig as i128
+        };
+        // Fast path: no larger than 2^74 times the window's unit, so the
+        // shifted 53-bit significand stays below 2^127.
+        if pos >= self.lsb && pos - self.lsb <= 74 {
+            if let Some(s) = self.acc.checked_add(x << (pos - self.lsb)) {
+                self.acc = s;
+                return;
+            }
+        }
+        self.add_fixed(x, pos);
+    }
+
+    /// Add `x × 2^(pos − 1074)` to the window, widening if it cannot hold
+    /// the result.
+    fn add_fixed(&mut self, x: i128, pos: u32) {
+        if let Some(w) = &mut self.wide {
+            w.add_fixed(x, pos);
+            return;
+        }
+        if self.acc == 0 {
+            self.acc = x;
+            self.lsb = pos;
+            return;
+        }
+        // Align both terms at the lower exponent.
+        let fitted = if pos >= self.lsb {
+            shl_checked(x, pos - self.lsb).and_then(|y| self.acc.checked_add(y))
+        } else {
+            let lowered = shl_checked(self.acc, self.lsb - pos).and_then(|a| a.checked_add(x));
+            if lowered.is_some() {
+                self.lsb = pos;
+            }
+            lowered
+        };
+        match fitted {
+            Some(s) => self.acc = s,
+            None => {
+                let mut w = Box::new(ExactF64Sum::new());
+                w.add_fixed(self.acc, self.lsb);
+                w.add_fixed(x, pos);
+                self.acc = 0;
+                self.wide = Some(w);
+            }
+        }
+    }
+
+    /// Fold another accumulator in. Exact; order-invariant.
+    pub fn merge(&mut self, other: &CompactF64Sum) {
+        self.non_finite.merge(other.non_finite);
+        match (&mut self.wide, &other.wide) {
+            (_, None) => {
+                if other.acc != 0 {
+                    self.add_fixed(other.acc, other.lsb);
+                }
+            }
+            (Some(w), Some(o)) => w.merge(o),
+            (None, Some(o)) => {
+                let mut w = o.clone();
+                if self.acc != 0 {
+                    w.add_fixed(self.acc, self.lsb);
+                }
+                self.acc = 0;
+                self.wide = Some(w);
+            }
+        }
+    }
+
+    /// The correctly rounded (nearest, ties to even) value of the sum.
+    pub fn value(&self) -> f64 {
+        if let Some(nf) = self.non_finite.value() {
+            return nf;
+        }
+        if let Some(w) = &self.wide {
+            return w.value();
+        }
+        if self.acc == 0 {
+            return 0.0;
+        }
+        let top = 127 - self.acc.unsigned_abs().leading_zeros() as i32;
+        let e = self.lsb as i32 - 1074;
+        if top + e >= -1022 && top + e < 1023 {
+            // The result is a normal double: rounding `acc` to 53 bits
+            // (`as` rounds to nearest, ties to even) and scaling by a power
+            // of two is exact, so this is the correctly rounded sum.
+            let m = self.acc as f64;
+            if e >= -1022 {
+                m * pow2(e)
+            } else {
+                m * pow2(e + 1022) * pow2(-1022)
+            }
+        } else {
+            // Subnormal or overflowing results round in the register.
+            let mut w = ExactF64Sum::new();
+            w.add_fixed(self.acc, self.lsb);
+            w.value()
+        }
+    }
+}
+
+/// `x << d` when the shifted value still fits an `i128`.
+#[inline]
+fn shl_checked(x: i128, d: u32) -> Option<i128> {
+    (x.unsigned_abs().leading_zeros() > d).then(|| x << d)
 }
 
 #[inline]
@@ -397,5 +624,98 @@ mod tests {
         assert_eq!(a, b);
         b.add(1e-30);
         assert_ne!(a, b);
+    }
+
+    fn compact(vals: &[f64]) -> CompactF64Sum {
+        let mut s = CompactF64Sum::new();
+        for &v in vals {
+            s.add(v);
+        }
+        s
+    }
+
+    #[test]
+    fn compact_is_small() {
+        assert!(std::mem::size_of::<CompactF64Sum>() <= 32);
+    }
+
+    #[test]
+    fn compact_matches_exact_in_the_window() {
+        let vals: Vec<f64> = (0..5000).map(|i| (i as f64) * 0.01 - 17.25).collect();
+        let c = compact(&vals);
+        assert!(c.wide.is_none(), "prices stay in the narrow window");
+        assert_eq!(c.value().to_bits(), sum(&vals).to_bits());
+    }
+
+    #[test]
+    fn compact_widens_on_demand_and_stays_exact() {
+        let vals = [1e300, 1.0, -1e300, 1e-300];
+        let c = compact(&vals);
+        assert!(c.wide.is_some(), "a 2000-binade spread cannot fit 127 bits");
+        assert_eq!(c.value().to_bits(), sum(&vals).to_bits());
+        assert_eq!(c.value(), 1.0);
+    }
+
+    #[test]
+    fn compact_widens_when_the_window_fills() {
+        // 1.0 and 2^74 are 74 binades apart: each 2^74 fills 127 bits of
+        // the window, so the second one overflows it.
+        let big = 2f64.powi(74);
+        let vals = [1.0, big, big, 1.0, -big];
+        let mut c = CompactF64Sum::new();
+        c.add(vals[0]);
+        c.add(vals[1]);
+        assert!(c.wide.is_none());
+        c.add(vals[2]);
+        assert!(c.wide.is_some());
+        c.add(vals[3]);
+        c.add(vals[4]);
+        assert_eq!(c.value().to_bits(), sum(&vals).to_bits());
+        assert_eq!(c.value(), big + 2.0);
+    }
+
+    #[test]
+    fn compact_edge_results_round_in_the_register() {
+        let tiny = f64::from_bits(1);
+        for vals in [
+            vec![tiny, tiny, tiny],
+            vec![f64::MIN_POSITIVE, -tiny],
+            vec![f64::MAX, f64::MAX],
+            vec![f64::MAX, f64::MAX, -f64::MAX],
+            vec![-f64::MAX, -f64::MAX],
+            vec![1e16, 1.0, 1.0],
+            vec![0.0, -0.0],
+        ] {
+            assert_eq!(
+                compact(&vals).value().to_bits(),
+                sum(&vals).to_bits(),
+                "{vals:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn compact_merge_of_narrow_and_wide() {
+        let narrow = compact(&[1.5, 2.25]);
+        let wide = compact(&[1e200, -1e200, 1e-200]);
+        let mut a = narrow.clone();
+        a.merge(&wide);
+        let mut b = wide.clone();
+        b.merge(&narrow);
+        let expect = sum(&[1.5, 2.25, 1e200, -1e200, 1e-200]);
+        assert_eq!(a.value().to_bits(), expect.to_bits());
+        assert_eq!(b.value().to_bits(), expect.to_bits());
+    }
+
+    #[test]
+    fn non_finite_results_do_not_depend_on_order() {
+        let a = sum(&[f64::INFINITY, f64::NEG_INFINITY, f64::NAN]);
+        let b = sum(&[f64::NAN, f64::NEG_INFINITY, f64::INFINITY]);
+        assert_eq!(a.to_bits(), f64::NAN.to_bits());
+        assert_eq!(b.to_bits(), f64::NAN.to_bits());
+        assert_eq!(
+            compact(&[f64::NEG_INFINITY, 1.0]).value(),
+            f64::NEG_INFINITY
+        );
     }
 }

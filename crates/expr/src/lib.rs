@@ -17,9 +17,9 @@ pub mod exact_sum;
 pub mod predicate;
 pub mod scalar;
 
-pub use aggregate::{AggFunc, AggSpec, AggState};
+pub use aggregate::{float_extreme, int_sum_result, AggFunc, AggSpec, AggState};
 pub use error::ExprError;
-pub use exact_sum::ExactF64Sum;
+pub use exact_sum::{CompactF64Sum, ExactF64Sum};
 pub use predicate::{between_half_open, cmp, CmpOp, Predicate};
 pub use scalar::{col, gather_all, gather_column, gather_from, lit, BinOp, ScalarExpr};
 

@@ -1,11 +1,15 @@
 //! Property tests for expression evaluation:
 //! * vectorized evaluation agrees with the row-at-a-time reference,
 //! * predicate bitmaps agree with per-row evaluation,
-//! * aggregate merge is order-insensitive (parallel partials are sound).
+//! * aggregate merge is order-insensitive (parallel partials are sound),
+//! * the compact exact sum equals the superaccumulator bit for bit under
+//!   any add/merge tree.
 
 use proptest::prelude::*;
 use std::sync::Arc;
-use uot_expr::{cmp, col, lit, AggSpec, BinOp, CmpOp, Predicate, ScalarExpr};
+use uot_expr::{
+    cmp, col, lit, AggSpec, BinOp, CmpOp, CompactF64Sum, ExactF64Sum, Predicate, ScalarExpr,
+};
 use uot_storage::{BlockFormat, DataType, Schema, StorageBlock, Value};
 
 fn schema() -> Arc<Schema> {
@@ -198,12 +202,104 @@ proptest! {
                 }
             }
             pa.merge(&pb);
-            match (whole.finalize(), pa.finalize()) {
+            match (whole.finalize().unwrap(), pa.finalize().unwrap()) {
                 (Value::F64(w), Value::F64(m)) => {
                     prop_assert!((w - m).abs() <= 1e-9 * w.abs().max(1.0))
                 }
                 (w, m) => prop_assert_eq!(w, m),
             }
         }
+    }
+}
+
+/// Floats that stress the compact sum's window: subnormals, values near
+/// the range ends, signed zeros, non-finites, cancelling pairs and
+/// ordinary prices.
+fn arb_stress_f64() -> impl Strategy<Value = f64> {
+    let cents = || (-1.0e6f64..1.0e6).prop_map(|v| (v * 100.0).round() / 100.0);
+    prop_oneof![
+        cents(),
+        cents(),
+        cents(),
+        (1u64..1 << 20).prop_map(f64::from_bits),
+        (1u64..1 << 52).prop_map(|b| -f64::from_bits(b)),
+        prop_oneof![Just(1e300), Just(-1e300), Just(f64::MAX), Just(-f64::MAX)],
+        -1e-300f64..1e-300,
+        prop_oneof![Just(0.0), Just(-0.0)],
+        prop_oneof![Just(f64::INFINITY), Just(f64::NEG_INFINITY), Just(f64::NAN)],
+        any::<u64>().prop_map(f64::from_bits),
+        (-60i32..60, any::<bool>()).prop_map(|(e, neg)| {
+            let v = 2f64.powi(e) * 1.000_000_000_1;
+            if neg {
+                -v
+            } else {
+                v
+            }
+        }),
+    ]
+}
+
+fn same_bits(a: f64, b: f64) -> bool {
+    a.to_bits() == b.to_bits()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Leaves of random sizes are summed by both accumulators, then merged
+    /// pairwise in a random order. Every intermediate and the root must
+    /// agree bit for bit, and the root must equal a flat sum in reverse
+    /// order (the result is a function of the multiset alone).
+    #[test]
+    fn compact_sum_matches_exact_sum_under_any_merge_tree(
+        vals in proptest::collection::vec(arb_stress_f64(), 0..120),
+        cuts in proptest::collection::vec(0usize..120, 0..8),
+        picks in proptest::collection::vec(any::<usize>(), 0..16),
+        cancel in any::<bool>(),
+    ) {
+        let mut vals = vals;
+        if cancel {
+            // Catastrophic cancellation: every value also appears negated,
+            // except the first, which must survive exactly.
+            let neg: Vec<f64> = vals.iter().skip(1).map(|v| -v).collect();
+            vals.extend(neg);
+        }
+        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(vals.len())).collect();
+        cuts.push(0);
+        cuts.push(vals.len());
+        cuts.sort_unstable();
+        let mut parts: Vec<(CompactF64Sum, ExactF64Sum)> = cuts
+            .windows(2)
+            .map(|w| {
+                let mut c = CompactF64Sum::new();
+                let mut e = ExactF64Sum::new();
+                for &v in &vals[w[0]..w[1]] {
+                    c.add(v);
+                    e.add(v);
+                }
+                (c, e)
+            })
+            .collect();
+        for (c, e) in &parts {
+            prop_assert!(same_bits(c.value(), e.value()), "leaf {} vs {}", c.value(), e.value());
+        }
+        let mut picks = picks.into_iter().cycle();
+        while parts.len() > 1 {
+            let i = picks.next().unwrap_or(0) % parts.len();
+            let (c, e) = parts.swap_remove(i);
+            let j = picks.next().unwrap_or(0) % parts.len();
+            parts[j].0.merge(&c);
+            parts[j].1.merge(&e);
+            prop_assert!(
+                same_bits(parts[j].0.value(), parts[j].1.value()),
+                "merge {} vs {}", parts[j].0.value(), parts[j].1.value()
+            );
+        }
+        let mut flat = ExactF64Sum::new();
+        for &v in vals.iter().rev() {
+            flat.add(v);
+        }
+        let root = parts.pop().map(|p| p.0.value()).unwrap_or(0.0);
+        prop_assert!(same_bits(root, flat.value()), "root {} vs flat {}", root, flat.value());
     }
 }

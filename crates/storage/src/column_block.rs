@@ -123,7 +123,8 @@ impl ColumnData {
         self.len() == 0
     }
 
-    fn type_name(&self) -> &'static str {
+    /// The column's type name ("Int32", "Char", ...), for diagnostics.
+    pub fn type_name(&self) -> &'static str {
         match self {
             ColumnData::I32(_) => "Int32",
             ColumnData::I64(_) => "Int64",

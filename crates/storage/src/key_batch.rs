@@ -72,6 +72,16 @@ impl KeyBatch {
         &self.hashes
     }
 
+    /// The packed keys of a fixed-width pass (every key ≤ 16 encoded
+    /// bytes), or `None` after a wide-key pass.
+    #[inline]
+    pub fn packed(&self) -> Option<&[u128]> {
+        match &self.data {
+            KeyData::Fixed { packed, .. } => Some(packed),
+            KeyData::Var(_) => None,
+        }
+    }
+
     /// Compare extracted key `i` against a stored [`HashKey`] without
     /// materializing it (no allocation for fixed-width keys).
     #[inline]
