@@ -27,7 +27,7 @@ use uot_bench::{
     block_sizes, engine_config, measure_query, ms, runs, scale_factor, uot_extremes, workers,
     ReportTable,
 };
-use uot_core::{fusion::plan_fusion, Engine, FusionPolicy, TraceConfig, TraceEventKind, Uot};
+use uot_core::{fusion::plan_fusion, Engine, FusionPolicy, TraceEventKind, Uot};
 use uot_storage::BlockFormat;
 use uot_tpch::{all_queries, build_query, TpchConfig, TpchDb};
 
@@ -104,7 +104,7 @@ fn main() {
             let traced = Engine::new(
                 engine_config(bs, Uot::LOW, workers())
                     .with_fusion(FusionPolicy::Always)
-                    .tracing(TraceConfig::default()),
+                    .traced(),
             )
             .execute(plan.clone().with_uniform_uot(Uot::LOW))
             .expect("traced fused run");

@@ -46,22 +46,8 @@ pub enum DegradePolicy {
     Spill,
 }
 
-/// Structured-tracing knobs (see [`EngineConfig::tracing`]).
-#[derive(Debug, Clone, Copy)]
-pub struct TraceConfig {
-    /// Maximum events the per-query [`TraceSink`] retains; past it events
-    /// are dropped (and counted in [`Trace::dropped`]) instead of growing
-    /// without bound.
-    pub capacity: usize,
-}
-
-impl Default for TraceConfig {
-    fn default() -> Self {
-        TraceConfig {
-            capacity: DEFAULT_TRACE_CAPACITY,
-        }
-    }
-}
+/// Shards per join hash table (lock granularity of concurrent builds).
+const HASH_TABLE_SHARDS: usize = 64;
 
 /// Engine configuration. The fields mirror the experimental dimensions of
 /// Section IV of the paper: block size, storage format (of temporaries),
@@ -78,10 +64,6 @@ pub struct EngineConfig {
     pub default_uot: Uot,
     /// Execution mode.
     pub mode: ExecMode,
-    /// Optional per-operator concurrency cap.
-    pub max_dop_per_op: Option<usize>,
-    /// Shards per join hash table (lock granularity of concurrent builds).
-    pub hash_table_shards: usize,
     /// Whether the block pool reuses returned blocks (the `ablation_pool`
     /// knob; `true` matches Quickstep).
     pub pool_reuse: bool,
@@ -94,10 +76,11 @@ pub struct EngineConfig {
     /// Optional wall-clock deadline per query; past it the query is
     /// cancelled and yields [`EngineError::Cancelled`].
     pub deadline: Option<Duration>,
-    /// Structured tracing: `Some` records every scheduler/work-order event
-    /// into a per-query [`Trace`] returned on [`QueryResult::trace`]. `None`
-    /// (the default) records nothing.
-    pub trace: Option<TraceConfig>,
+    /// Structured tracing: `true` records every scheduler/work-order event
+    /// into a per-query [`Trace`] returned on [`QueryResult::trace`], up to
+    /// [`DEFAULT_TRACE_CAPACITY`] events (the rest are counted in
+    /// [`Trace::dropped`]). `false` (the default) records nothing.
+    pub trace: bool,
     /// Fused-pipeline policy: whether eligible select/probe/aggregate chains
     /// run as single push-based loops (UoT -> 0) instead of staging blocks
     /// on their interior transfer edges. [`FusionPolicy::Auto`] (the
@@ -121,13 +104,11 @@ impl Default for EngineConfig {
                     .map(|n| n.get())
                     .unwrap_or(4),
             },
-            max_dop_per_op: None,
-            hash_table_shards: 64,
             pool_reuse: true,
             memory_budget: None,
             degrade: DegradePolicy::Off,
             deadline: None,
-            trace: None,
+            trace: false,
             fusion: FusionPolicy::Auto,
             hub: None,
         }
@@ -204,8 +185,8 @@ impl EngineConfig {
     /// (returned on [`QueryResult::trace`]) that the exporters under
     /// [`crate::obs`] turn into Chrome `trace_event` JSON and per-edge
     /// UoT-occupancy timelines.
-    pub fn tracing(mut self, trace: TraceConfig) -> Self {
-        self.trace = Some(trace);
+    pub fn traced(mut self) -> Self {
+        self.trace = true;
         self
     }
 
@@ -225,9 +206,7 @@ impl EngineConfig {
         if let Some(reservation) = opts.reservation {
             cfg.memory_budget = Some(reservation);
         }
-        if opts.trace && cfg.trace.is_none() {
-            cfg.trace = Some(TraceConfig::default());
-        }
+        cfg.trace |= opts.trace;
         if let Some(fusion) = opts.fusion {
             cfg.fusion = fusion;
         }
@@ -242,7 +221,6 @@ impl EngineConfig {
         SchedulerConfig {
             mode: self.mode,
             default_uot: self.default_uot.normalized(),
-            max_dop_per_op: self.max_dop_per_op,
             deadline: self.deadline,
         }
     }
@@ -265,7 +243,7 @@ pub struct QueryResult {
     /// Execution metrics.
     pub metrics: QueryMetrics,
     /// The structured trace, when the engine was configured with
-    /// [`EngineConfig::tracing`].
+    /// [`EngineConfig::traced`].
     pub trace: Option<Trace>,
     /// The executed plan annotated with measured per-operator and per-edge
     /// statistics (`EXPLAIN ANALYZE`). Always present: it is a pure fold of
@@ -403,19 +381,13 @@ impl Engine {
     /// replaced by the rendered [`ExplainAnalyze`] tree. The real metrics,
     /// trace and [`QueryResult::explain`] stay attached.
     pub fn execute_sql_with(&self, sql: &str, opts: ExecOptions) -> Result<QueryResult> {
-        let (sql, explain) = match uot_sql::strip_explain_analyze(sql) {
-            Some(inner) => (inner, true),
-            None => (sql, false),
-        };
         let catalog = self.catalog.as_ref().ok_or_else(|| {
             EngineError::Config(
                 "engine has no catalog to resolve SQL against; use Engine::with_catalog".into(),
             )
         })?;
-        let (plan, outcome) = self
-            .plan_cache
-            .get_or_compile(sql, || crate::sql::compile(sql, catalog))?;
-        let mut result = self.execute_with((*plan).clone(), opts)?;
+        let (plan, outcome, explain) = crate::sql::compile_cached(sql, catalog, &self.plan_cache)?;
+        let mut result = self.execute_with(plan, opts)?;
         result.metrics.plan_cache = Some(outcome);
         Ok(if explain {
             result.into_explain_rows()
@@ -463,7 +435,9 @@ pub(crate) fn prepare(
     pool.set_reuse_enabled(cfg.pool_reuse);
     let plan = Arc::new(plan);
     let schema = plan.result_schema().clone();
-    let sink = cfg.trace.map(|tc| TraceSink::for_query(tc.capacity, query));
+    let sink = cfg
+        .trace
+        .then(|| TraceSink::for_query(DEFAULT_TRACE_CAPACITY, query));
     // Progress, occupancy and spill activity stream into the live record
     // from the observer stack and the spill hook, while the HTTP endpoint
     // and the watchdog read it concurrently.
@@ -499,7 +473,7 @@ pub(crate) fn prepare(
         pool,
         cfg.temp_format,
         cfg.block_bytes,
-        cfg.hash_table_shards,
+        HASH_TABLE_SHARDS,
     )?
     .with_query(query)
     .with_cancellation(token);
@@ -733,17 +707,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_dop_cap_is_a_config_error() {
-        let cfg = EngineConfig {
-            max_dop_per_op: Some(0),
-            mode: ExecMode::Serial,
-            ..Default::default()
-        };
-        let err = Engine::new(cfg).execute(plan()).unwrap_err();
-        assert!(matches!(err, crate::EngineError::Config(_)), "{err:?}");
-    }
-
-    #[test]
     fn undersized_blocks_are_a_config_error() {
         // The plan's widest tuple is 12 bytes (Int32 + Float64); 8-byte
         // temporary blocks cannot hold a single output tuple.
@@ -775,7 +738,8 @@ mod tests {
             .with_memory_budget(Some(4096))
             .with_degrade(DegradePolicy::Spill)
             .with_deadline(Some(Duration::from_secs(5)))
-            .with_fusion(FusionPolicy::Always);
+            .with_fusion(FusionPolicy::Always)
+            .traced();
         assert_eq!(c.block_bytes, 512);
         assert_eq!(c.default_uot, Uot::Table);
         assert_eq!(c.temp_format, BlockFormat::Column);
@@ -784,6 +748,7 @@ mod tests {
         assert_eq!(c.degrade, DegradePolicy::Spill);
         assert_eq!(c.deadline, Some(Duration::from_secs(5)));
         assert_eq!(c.fusion, FusionPolicy::Always);
+        assert!(c.trace);
         assert_eq!(EngineConfig::default().fusion, FusionPolicy::Auto);
         let c = EngineConfig::parallel(7);
         assert_eq!(c.mode, ExecMode::Parallel { workers: 7 });
@@ -879,13 +844,9 @@ mod tests {
         );
         // ...and with it the run degrades to out-of-core and matches the
         // unbudgeted result byte for byte, with spill traffic in the trace.
-        let r = Engine::new(
-            tight
-                .with_degrade(DegradePolicy::Spill)
-                .tracing(TraceConfig::default()),
-        )
-        .execute(big_join_plan())
-        .unwrap();
+        let r = Engine::new(tight.with_degrade(DegradePolicy::Spill).traced())
+            .execute(big_join_plan())
+            .unwrap();
         assert_eq!(r.sorted_rows(), reference);
         assert!(r.metrics.spill_events > 0, "{:?}", r.metrics);
         assert!(r.metrics.spilled_bytes > 0);

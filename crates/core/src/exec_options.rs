@@ -17,7 +17,7 @@
 //! | `uot` | uniform UoT override | uniform UoT override |
 //! | `trace` | enables tracing for this run | enables tracing for this query |
 //! | `faults` | deterministic fault plan | deterministic fault plan |
-//! | `fusion` | overrides `EngineConfig::fusion` | overrides `ServiceConfig::fusion` |
+//! | `fusion` | overrides `EngineConfig::fusion` | overrides the default (`Auto`) |
 //! | `degrade` | overrides `EngineConfig::degrade` | overrides `ServiceConfig::degrade` |
 
 use crate::engine::DegradePolicy;

@@ -59,7 +59,7 @@ pub mod work_order;
 pub use bloom::BloomFilter;
 pub use cancel::CancellationToken;
 pub use edge::{EdgeDest, TransferAction, TransferEdge};
-pub use engine::{DegradePolicy, Engine, EngineConfig, ExecMode, QueryResult, TraceConfig};
+pub use engine::{DegradePolicy, Engine, EngineConfig, ExecMode, QueryResult};
 pub use error::EngineError;
 pub use exec_options::ExecOptions;
 pub use fault::{FaultKind, FaultPlan, FaultSite, Injection};

@@ -258,12 +258,13 @@ impl LiveQuery {
 pub struct WatchdogConfig {
     /// Run the watchdog thread at all.
     pub enabled: bool,
-    /// How often the watchdog scans the registry.
+    /// How often the watchdog scans the registry (non-zero).
     pub poll_interval: Duration,
     /// A transfer edge holding staged blocks with no activity for this long
     /// is flagged as stalled (once per stall; edge activity re-arms it).
     pub stall_timeout: Duration,
-    /// A query past this fraction of its deadline is flagged (once).
+    /// A query past this fraction of its deadline is flagged (once); in
+    /// `(0, 1]`.
     pub deadline_fraction: f64,
 }
 

@@ -78,9 +78,6 @@ pub struct SchedulerConfig {
     pub mode: ExecMode,
     /// UoT for edges without a per-operator override.
     pub default_uot: Uot,
-    /// Optional cap on concurrent work orders per operator (a Quickstep-style
-    /// scheduling policy; `None` = unbounded).
-    pub max_dop_per_op: Option<usize>,
     /// Optional wall-clock deadline. When it passes, the scheduler cancels
     /// the query's [`crate::cancel::CancellationToken`] at the next dispatch
     /// and the query yields [`EngineError::Cancelled`].
@@ -92,7 +89,6 @@ impl Default for SchedulerConfig {
         SchedulerConfig {
             mode: ExecMode::Serial,
             default_uot: Uot::LOW,
-            max_dop_per_op: None,
             deadline: None,
         }
     }
@@ -101,21 +97,13 @@ impl Default for SchedulerConfig {
 impl SchedulerConfig {
     /// The one up-front check every front door runs before a query starts.
     /// It catches mistakes that would otherwise surface as confusing
-    /// mid-query failures: a worker pool of zero threads, a per-operator DOP
-    /// cap of zero (every operator unschedulable), or temporary blocks of
-    /// `block_bytes` too small to hold one output tuple of some operator of
-    /// `plan`. Without a plan only the settings are checked.
+    /// mid-query failures: a worker pool of zero threads, or temporary
+    /// blocks of `block_bytes` too small to hold one output tuple of some
+    /// operator of `plan`. Without a plan only the settings are checked.
     pub fn validate(&self, plan: Option<&QueryPlan>, block_bytes: usize) -> Result<()> {
         if let ExecMode::Parallel { workers: 0 } = self.mode {
             return Err(EngineError::Config(
                 "parallel mode requires at least 1 worker (got workers=0)".into(),
-            ));
-        }
-        if self.max_dop_per_op == Some(0) {
-            return Err(EngineError::Config(
-                "max_dop_per_op must be at least 1 (Some(0) would make every \
-                 operator unschedulable)"
-                    .into(),
             ));
         }
         for (id, op) in plan.into_iter().flat_map(QueryPlan::ops).enumerate() {
@@ -334,47 +322,28 @@ impl SchedulerObserver for MetricsObserver {
 /// Indexed dispatch: per-operator FIFO queues plus an ordered set of
 /// operators that currently have dispatchable work.
 ///
-/// Policy (identical to the historical full-scan implementation): among
-/// operators with queued work and spare per-operator DOP, pick the
-/// **critical** ones first (blocking prerequisites and their stream
-/// feeders), then the most **downstream** (highest id; plans are built
-/// bottom-up so id order is topological), FIFO within an operator. The
+/// Policy: among operators with queued work, pick the **critical** ones
+/// first (blocking prerequisites and their stream feeders), then the most
+/// **downstream** (highest id; plans are built bottom-up so id order is
+/// topological), FIFO within an operator. The
 /// `BTreeSet<(bool, OpId)>` makes that `last()`, so a pop costs O(log #ops)
 /// instead of a scan of every ready work order.
 #[derive(Debug)]
 struct ReadyQueue {
     per_op: Vec<VecDeque<WorkOrder>>,
-    /// `(critical, op)` for every op with queued work below its DOP cap.
+    /// `(critical, op)` for every op with queued work.
     dispatchable: BTreeSet<(bool, OpId)>,
     critical: Vec<bool>,
-    in_flight: Vec<usize>,
-    cap: usize,
     len: usize,
 }
 
 impl ReadyQueue {
-    fn new(critical: Vec<bool>, max_dop_per_op: Option<usize>) -> Self {
-        let n = critical.len();
+    fn new(critical: Vec<bool>) -> Self {
         ReadyQueue {
-            per_op: (0..n).map(|_| VecDeque::new()).collect(),
+            per_op: (0..critical.len()).map(|_| VecDeque::new()).collect(),
             dispatchable: BTreeSet::new(),
             critical,
-            in_flight: vec![0; n],
-            // Some(0) is rejected by `SchedulerConfig::validate`; no clamp
-            // here, so a cap of 0 smuggled past validation stalls loudly
-            // instead of silently running with a different setting.
-            cap: max_dop_per_op.unwrap_or(usize::MAX),
             len: 0,
-        }
-    }
-
-    /// Re-derive `op`'s membership in the dispatchable index.
-    fn refresh(&mut self, op: OpId) {
-        let key = (self.critical[op], op);
-        if !self.per_op[op].is_empty() && self.in_flight[op] < self.cap {
-            self.dispatchable.insert(key);
-        } else {
-            self.dispatchable.remove(&key);
         }
     }
 
@@ -382,22 +351,17 @@ impl ReadyQueue {
         let op = wo.op;
         self.per_op[op].push_back(wo);
         self.len += 1;
-        self.refresh(op);
+        self.dispatchable.insert((self.critical[op], op));
     }
 
     fn pop(&mut self) -> Option<WorkOrder> {
-        let &(_, op) = self.dispatchable.last()?;
+        let &key @ (_, op) = self.dispatchable.last()?;
         let wo = self.per_op[op].pop_front().expect("indexed op has work");
         self.len -= 1;
-        self.in_flight[op] += 1;
-        self.refresh(op);
+        if self.per_op[op].is_empty() {
+            self.dispatchable.remove(&key);
+        }
         Some(wo)
-    }
-
-    /// A work order of `op` completed: release its DOP slot.
-    fn complete(&mut self, op: OpId) {
-        self.in_flight[op] = self.in_flight[op].saturating_sub(1);
-        self.refresh(op);
     }
 
     fn len(&self) -> usize {
@@ -537,7 +501,7 @@ impl<O: SchedulerObserver> SchedulerCore<O> {
                 ..Default::default()
             })
             .collect();
-        let queue = ReadyQueue::new(topo.critical_flags().to_vec(), config.max_dop_per_op);
+        let queue = ReadyQueue::new(topo.critical_flags().to_vec());
         let mut core = SchedulerCore {
             ctx,
             states,
@@ -636,8 +600,7 @@ impl<O: SchedulerObserver> SchedulerCore<O> {
         ))
     }
 
-    /// Pop the next dispatchable work order, honoring the per-operator DOP
-    /// cap if configured.
+    /// Pop the next dispatchable work order.
     ///
     /// Policy: **downstream-first** — among eligible work orders, prefer the
     /// operator furthest down the plan (highest id; plans are built bottom-
@@ -660,7 +623,6 @@ impl<O: SchedulerObserver> SchedulerCore<O> {
         produced: Vec<StorageBlock>,
         record: TaskRecord,
     ) -> Result<()> {
-        self.queue.complete(wo.op);
         self.states[wo.op].outstanding -= 1;
         // A consumed intermediate block dies here (each block feeds exactly
         // one stream work order): release its bytes so `peak_temp_bytes`
@@ -688,8 +650,8 @@ impl<O: SchedulerObserver> SchedulerCore<O> {
         self.check_completion(wo.op)
     }
 
-    /// Handle a *failed* (or cancelled) work order: release its DOP slot and
-    /// the bytes charged to its input block, without routing any output. The
+    /// Handle a *failed* (or cancelled) work order: release the bytes
+    /// charged to its input block, without routing any output. The
     /// operator stays unfinished; teardown via [`Self::release_resources`]
     /// reclaims everything else.
     pub fn on_error(&mut self, wo: &WorkOrder) {
@@ -706,7 +668,6 @@ impl<O: SchedulerObserver> SchedulerCore<O> {
     /// worker died holding it); `input_bytes` is what its stream input block
     /// had charged to the tracker (0 for base-table input).
     pub fn fail_in_flight(&mut self, op: OpId, input_bytes: usize) {
-        self.queue.complete(op);
         self.states[op].outstanding -= 1;
         if input_bytes > 0 {
             self.ctx.pool.tracker().free(input_bytes);
@@ -1719,23 +1680,6 @@ mod tests {
     }
 
     #[test]
-    fn dop_cap_limits_concurrency() {
-        let ctx = ctx_for(select_probe_plan(Uot::Blocks(1)));
-        let (_, m) = run_parallel(
-            ctx,
-            SchedulerConfig {
-                mode: ExecMode::Parallel { workers: 8 },
-                max_dop_per_op: Some(1),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        for op in 0..3 {
-            assert!(m.max_dop(op) <= 1, "op {op} exceeded DOP cap");
-        }
-    }
-
-    #[test]
     fn nested_loops_through_scheduler() {
         let t = table("t5", 6, 2);
         let mut pb = PlanBuilder::new();
@@ -1835,7 +1779,7 @@ mod tests {
     #[test]
     fn ready_queue_prefers_critical_then_downstream_then_fifo() {
         // ops: 0 critical, 1 and 2 ordinary.
-        let mut q = ReadyQueue::new(vec![true, false, false], None);
+        let mut q = ReadyQueue::new(vec![true, false, false]);
         q.push(stream_wo(1, 0));
         q.push(stream_wo(2, 1));
         q.push(stream_wo(0, 2));
@@ -1847,20 +1791,6 @@ mod tests {
             .collect();
         assert_eq!(order, vec![(0, 2), (2, 1), (2, 3), (1, 0)]);
         assert_eq!(q.len(), 0);
-    }
-
-    #[test]
-    fn ready_queue_honors_dop_cap() {
-        let mut q = ReadyQueue::new(vec![false, false], Some(1));
-        q.push(stream_wo(1, 0));
-        q.push(stream_wo(1, 1));
-        q.push(stream_wo(0, 2));
-        // op 1 is preferred but capped after one in-flight order.
-        assert_eq!(q.pop().map(|w| w.op), Some(1));
-        assert_eq!(q.pop().map(|w| w.op), Some(0), "op 1 at cap, fall back");
-        assert_eq!(q.pop().map(|w| w.op), None, "everything at cap");
-        q.complete(1);
-        assert_eq!(q.pop().map(|w| w.seq), Some(1), "slot freed, FIFO resumes");
     }
 
     #[test]
@@ -1961,24 +1891,6 @@ mod tests {
     }
 
     // --- hardening: validation, cancellation, teardown accounting ---
-
-    #[test]
-    fn zero_dop_cap_is_rejected_by_both_drivers() {
-        let bad = SchedulerConfig {
-            max_dop_per_op: Some(0),
-            ..Default::default()
-        };
-        assert!(matches!(
-            bad.validate(None, 96),
-            Err(EngineError::Config(_))
-        ));
-        let ctx = ctx_for(select_probe_plan(Uot::Blocks(1)));
-        let err = run_serial(ctx, bad).unwrap_err();
-        assert!(matches!(err, EngineError::Config(_)), "{err}");
-        let ctx = ctx_for(select_probe_plan(Uot::Blocks(1)));
-        let err = run_parallel(ctx, bad).unwrap_err();
-        assert!(matches!(err, EngineError::Config(_)), "{err}");
-    }
 
     #[test]
     fn tracker_returns_to_baseline_after_success() {

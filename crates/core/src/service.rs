@@ -36,7 +36,7 @@
 //! drain back to the global tracker — while sibling queries keep running.
 
 use crate::cancel::CancellationToken;
-use crate::engine::{prepare, EngineConfig, PreparedQuery, QueryResult, TraceConfig};
+use crate::engine::{prepare, EngineConfig, PreparedQuery, QueryResult};
 use crate::error::EngineError;
 use crate::exec_options::ExecOptions;
 use crate::fault::FaultPlan;
@@ -47,7 +47,6 @@ use crate::obs::{
 use crate::plan::QueryPlan;
 use crate::query_id::QueryId;
 use crate::scheduler::{worker_loop, Completion, ExecMode, ToWorker};
-use crate::trace::DEFAULT_TRACE_CAPACITY;
 use crate::uot::Uot;
 use crate::Result;
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
@@ -56,11 +55,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use uot_sql::{CacheStats, PlanCache, PlanCacheOutcome};
-use uot_storage::{BlockFormat, Catalog, MemoryTracker};
+use uot_storage::{Catalog, MemoryTracker};
 
 /// Service-wide configuration: the shared worker pool, the global memory
 /// budget admission control carves reservations from, and the per-query
-/// execution defaults (block size, temporary format, UoT).
+/// execution defaults (block size, UoT, degradation).
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Worker threads shared by every admitted query.
@@ -75,13 +74,8 @@ pub struct ServiceConfig {
     pub max_queued: usize,
     /// Size of temporary storage blocks in bytes.
     pub block_bytes: usize,
-    /// Format of temporary blocks.
-    pub temp_format: BlockFormat,
     /// Default unit of transfer for every edge without an override.
     pub default_uot: Uot,
-    /// Default fused-pipeline policy (per-query override via
-    /// [`ExecOptions::fusion`]).
-    pub fusion: crate::fusion::FusionPolicy,
     /// Default budget-degradation policy (per-query override via
     /// [`ExecOptions::degrade`]).
     /// [`DegradePolicy::Spill`](crate::engine::DegradePolicy::Spill) arms a
@@ -89,16 +83,6 @@ pub struct ServiceConfig {
     /// query that outgrows it degrades to out-of-core execution instead of
     /// failing with [`EngineError::BudgetExceeded`].
     pub degrade: crate::engine::DegradePolicy,
-    /// Optional per-operator concurrency cap (applies within each query).
-    pub max_dop_per_op: Option<usize>,
-    /// Shards per join hash table.
-    pub hash_table_shards: usize,
-    /// Whether per-query block pools reuse returned blocks.
-    pub pool_reuse: bool,
-    /// Trace every query (per-query opt-in via [`ExecOptions::trace`]).
-    pub trace: bool,
-    /// Event capacity of each per-query trace sink.
-    pub trace_capacity: usize,
     /// Catalog [`QueryService::submit_sql`] resolves table names against
     /// (empty by default; plan-based submissions never consult it).
     pub catalog: Arc<Catalog>,
@@ -122,15 +106,8 @@ impl Default for ServiceConfig {
             default_reservation: 16 << 20,
             max_queued: 64,
             block_bytes: 128 * 1024,
-            temp_format: BlockFormat::Row,
             default_uot: Uot::LOW,
-            fusion: crate::fusion::FusionPolicy::Auto,
             degrade: crate::engine::DegradePolicy::Off,
-            max_dop_per_op: None,
-            hash_table_shards: 64,
-            pool_reuse: true,
-            trace: false,
-            trace_capacity: DEFAULT_TRACE_CAPACITY,
             catalog: Catalog::new(),
             http_port: None,
             watchdog: WatchdogConfig::default(),
@@ -154,6 +131,17 @@ impl ServiceConfig {
                 self.default_reservation, self.memory_budget
             )));
         }
+        // A zero poll interval spins the watchdog thread; a NaN fraction
+        // never flags a query, a non-positive one flags every query at once.
+        let wd = &self.watchdog;
+        let fraction_ok = wd.deadline_fraction > 0.0 && wd.deadline_fraction <= 1.0;
+        if wd.enabled && (wd.poll_interval.is_zero() || !fraction_ok) {
+            return Err(EngineError::Config(format!(
+                "watchdog needs poll_interval > 0 and deadline_fraction in (0, 1] \
+                 (got {:?}, {})",
+                wd.poll_interval, wd.deadline_fraction
+            )));
+        }
         Ok(())
     }
 
@@ -163,22 +151,13 @@ impl ServiceConfig {
     fn query_defaults(&self) -> EngineConfig {
         EngineConfig {
             block_bytes: self.block_bytes,
-            temp_format: self.temp_format,
             default_uot: self.default_uot,
             mode: ExecMode::Parallel {
                 workers: self.workers,
             },
-            max_dop_per_op: self.max_dop_per_op,
-            hash_table_shards: self.hash_table_shards,
-            pool_reuse: self.pool_reuse,
             memory_budget: Some(self.default_reservation),
             degrade: self.degrade,
-            deadline: None,
-            trace: self.trace.then_some(TraceConfig {
-                capacity: self.trace_capacity,
-            }),
-            fusion: self.fusion,
-            hub: None,
+            ..EngineConfig::default()
         }
     }
 }
@@ -285,7 +264,10 @@ pub struct QueryService {
 
 impl QueryService {
     /// Start the service: one scheduler thread plus
-    /// [`ServiceConfig::workers`] worker threads.
+    /// [`ServiceConfig::workers`] worker threads. An invalid configuration
+    /// (no workers, an empty budget or reservation, an enabled watchdog with
+    /// a zero poll interval or a deadline fraction outside `(0, 1]`) fails
+    /// with [`EngineError::Config`].
     pub fn start(config: ServiceConfig) -> Result<Self> {
         config.validate()?;
         let tracker = MemoryTracker::new();
@@ -434,14 +416,9 @@ impl QueryService {
     /// rows; the real metrics, trace and [`QueryResult::explain`] stay
     /// attached.
     pub fn submit_sql_with(&self, sql: &str, opts: ExecOptions) -> Result<QueryHandle> {
-        let (sql, explain) = match uot_sql::strip_explain_analyze(sql) {
-            Some(inner) => (inner, true),
-            None => (sql, false),
-        };
-        let (plan, outcome) = self
-            .plan_cache
-            .get_or_compile(sql, || crate::sql::compile(sql, &self.config.catalog))?;
-        self.submit_inner((*plan).clone(), opts, Some(outcome), explain)
+        let (plan, outcome, explain) =
+            crate::sql::compile_cached(sql, &self.config.catalog, &self.plan_cache)?;
+        self.submit_inner(plan, opts, Some(outcome), explain)
     }
 
     /// Counters of the shared SQL plan cache.
@@ -473,10 +450,7 @@ impl QueryService {
         let id = QueryId::new(self.next_id.fetch_add(1, Ordering::Relaxed));
         let token = CancellationToken::new();
         let (reply_tx, reply_rx) = crossbeam::channel::unbounded();
-        let (mut cfg, plan) = self.defaults.resolve(plan, &opts);
-        if let Some(trace) = &mut cfg.trace {
-            trace.capacity = self.config.trace_capacity;
-        }
+        let (cfg, plan) = self.defaults.resolve(plan, &opts);
         let reservation = opts.reservation.unwrap_or(self.config.default_reservation);
         self.hub.add(HubCounter::QueriesSubmitted, 1);
         let sub = Submission {
@@ -810,7 +784,7 @@ mod tests {
     use super::*;
     use crate::plan::{JoinType, PlanBuilder, Source};
     use uot_expr::{cmp, col, lit, AggSpec, CmpOp};
-    use uot_storage::{DataType, Schema, Table, TableBuilder, Value};
+    use uot_storage::{BlockFormat, DataType, Schema, Table, TableBuilder, Value};
 
     fn table(name: &str, n: i32) -> Arc<Table> {
         let s = Schema::from_pairs(&[("k", DataType::Int32), ("v", DataType::Float64)]);
@@ -997,17 +971,17 @@ mod tests {
             default_reservation: 8 << 20,
             default_uot: Uot::Table,
             block_bytes: 96,
-            // Fusion off: the overflow below relies on Table-UoT staging,
-            // which a fused pipeline would bypass.
-            fusion: crate::fusion::FusionPolicy::Never,
             ..Default::default()
         })
         .unwrap();
-        // A tiny reservation the Table-UoT staging must overflow.
+        // A tiny reservation the Table-UoT staging must overflow. Fusion
+        // off: the overflow relies on staging a fused pipeline would bypass.
         let offender = svc
             .submit_with(
                 join_agg_plan(2000),
-                ExecOptions::default().with_reservation(600),
+                ExecOptions::default()
+                    .with_reservation(600)
+                    .with_fusion(crate::fusion::FusionPolicy::Never),
             )
             .unwrap();
         let sibling = svc.submit(join_agg_plan(200)).unwrap();
@@ -1057,7 +1031,6 @@ mod tests {
             default_reservation: 8 << 20,
             default_uot: Uot::Table,
             block_bytes: 96,
-            fusion: crate::fusion::FusionPolicy::Never,
             ..Default::default()
         })
         .unwrap();
@@ -1066,6 +1039,7 @@ mod tests {
                 select_agg_plan(2000),
                 ExecOptions::default()
                     .with_reservation(600)
+                    .with_fusion(crate::fusion::FusionPolicy::Never)
                     .with_degrade(crate::engine::DegradePolicy::Spill),
             )
             .unwrap();
@@ -1125,11 +1099,40 @@ mod tests {
             ..Default::default()
         })
         .is_err());
-        assert!(QueryService::start(ServiceConfig {
-            max_dop_per_op: Some(0),
-            ..Default::default()
-        })
-        .is_err());
+        let watchdog = WatchdogConfig::default();
+        for bad in [
+            WatchdogConfig {
+                poll_interval: Duration::ZERO,
+                ..watchdog
+            },
+            WatchdogConfig {
+                deadline_fraction: f64::NAN,
+                ..watchdog
+            },
+            WatchdogConfig {
+                deadline_fraction: -0.5,
+                ..watchdog
+            },
+            WatchdogConfig {
+                deadline_fraction: 0.0,
+                ..watchdog
+            },
+            WatchdogConfig {
+                deadline_fraction: 1.5,
+                ..watchdog
+            },
+        ] {
+            assert!(
+                matches!(
+                    QueryService::start(ServiceConfig {
+                        watchdog: bad,
+                        ..Default::default()
+                    }),
+                    Err(EngineError::Config(_))
+                ),
+                "{bad:?}"
+            );
+        }
     }
 
     #[test]

@@ -7,15 +7,15 @@
 //! its build + probe pair) — so a SQL statement and a hand-constructed plan
 //! produce the same operator pipeline and byte-identical results.
 //!
-//! [`compile`] is the one-call front door used by
+//! [`compile`] is the one-call front door. `compile_cached` memoizes it
+//! through a [`PlanCache`] and is the one SQL compile step of both
 //! [`Engine::execute_sql`](crate::engine::Engine::execute_sql) and
-//! [`QueryService::submit_sql`](crate::service::QueryService::submit_sql),
-//! both of which memoize it through a [`PlanCache`](uot_sql::PlanCache).
+//! [`QueryService::submit_sql`](crate::service::QueryService::submit_sql).
 
 use crate::plan::{JoinType, PlanBuilder, QueryPlan, SortKey, Source};
 use crate::Result;
 use uot_expr::Predicate;
-use uot_sql::{JoinKind, Logical};
+use uot_sql::{JoinKind, Logical, PlanCache, PlanCacheOutcome};
 use uot_storage::Catalog;
 
 /// Compile `sql` against `catalog` into an executable physical plan.
@@ -27,6 +27,23 @@ use uot_storage::Catalog;
 pub fn compile(sql: &str, catalog: &Catalog) -> Result<QueryPlan> {
     let logical = uot_sql::plan(sql, catalog)?;
     lower(&logical)
+}
+
+/// Compile `sql` through `cache`: strip a leading `EXPLAIN ANALYZE`, then
+/// fetch the inner statement's plan or compile and memoize it. Returns the
+/// plan, whether the cache had it, and whether the text asked for
+/// `EXPLAIN ANALYZE`.
+pub(crate) fn compile_cached(
+    sql: &str,
+    catalog: &Catalog,
+    cache: &PlanCache<QueryPlan>,
+) -> Result<(QueryPlan, PlanCacheOutcome, bool)> {
+    let (sql, explain) = match uot_sql::strip_explain_analyze(sql) {
+        Some(inner) => (inner, true),
+        None => (sql, false),
+    };
+    let (plan, outcome) = cache.get_or_compile(sql, || compile(sql, catalog))?;
+    Ok(((*plan).clone(), outcome, explain))
 }
 
 /// Lower a resolved logical tree onto the physical operator algebra.

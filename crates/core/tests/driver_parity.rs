@@ -4,12 +4,13 @@
 //! trips with `DegradePolicy::Off`, and the same budget with
 //! `DegradePolicy::Spill`. With one worker all three follow the same
 //! dispatch sequence, so results, failures and every scheduling count must
-//! agree exactly, and the service's tracker must drain to zero.
+//! agree exactly, and the service's tracker must drain to zero. Unbudgeted,
+//! each driver also runs traced, and the traces must agree too.
 
 use std::sync::Arc;
 use uot_core::{
     DegradePolicy, Engine, EngineConfig, EngineError, ExecOptions, JoinType, PlanBuilder,
-    QueryPlan, QueryResult, QueryService, ServiceConfig, SortKey, Source, Uot,
+    QueryPlan, QueryResult, QueryService, ServiceConfig, SortKey, Source, TraceEventKind, Uot,
 };
 use uot_expr::{cmp, col, lit, AggSpec, CmpOp, Predicate};
 use uot_storage::{BlockFormat, DataType, Schema, Table, TableBuilder, Value};
@@ -186,6 +187,18 @@ fn outcome(result: Result<QueryResult, EngineError>) -> Outcome {
     }
 }
 
+/// Per-kind event counts of a traced run: work orders dispatched and
+/// finished, and edge flushes. Every driver's sink keeps every event.
+fn trace_counts(result: Result<QueryResult, EngineError>) -> [usize; 3] {
+    let trace = result.unwrap().trace.expect("a traced run returns a trace");
+    assert_eq!(trace.dropped, 0, "trace sink dropped events");
+    [
+        trace.count(|k| matches!(k, TraceEventKind::WorkOrderDispatched { .. })),
+        trace.count(|k| matches!(k, TraceEventKind::WorkOrderFinished { .. })),
+        trace.count(|k| matches!(k, TraceEventKind::TransferFlushed { .. })),
+    ]
+}
+
 fn engine(base: EngineConfig, memory: Memory) -> Engine {
     Engine::new(
         base.with_block_bytes(BLOCK_BYTES)
@@ -215,6 +228,24 @@ fn engine_serial_engine_pool_and_service_agree() {
             let opts = ExecOptions::default()
                 .with_reservation(memory.budget().unwrap_or(ROOMY))
                 .with_degrade(memory.degrade());
+            if let Memory::Unbounded = memory {
+                let serial = engine(EngineConfig::serial().traced(), memory).execute(plan.clone());
+                let pooled =
+                    engine(EngineConfig::parallel(1).traced(), memory).execute(plan.clone());
+                let service = svc.submit_with(plan.clone(), opts.clone().traced());
+                let serial = trace_counts(serial);
+                assert!(serial[0] > 0, "{label}: traced run dispatched nothing");
+                assert_eq!(
+                    serial,
+                    trace_counts(pooled),
+                    "{label}: traced serial vs pool"
+                );
+                assert_eq!(
+                    serial,
+                    trace_counts(service.unwrap().wait()),
+                    "{label}: traced serial vs service"
+                );
+            }
             let service = outcome(svc.submit_with(plan, opts).unwrap().wait());
             assert_eq!(serial, pooled, "{label}: Engine serial vs pool");
             assert_eq!(serial, service, "{label}: Engine serial vs service");

@@ -231,7 +231,6 @@ proptest! {
             },
             default_uot: Uot::Table,
             deadline: (exit == 2).then_some(Duration::ZERO),
-            ..Default::default()
         };
 
         // Any outcome is legal (a tight budget may fail even the no-fault

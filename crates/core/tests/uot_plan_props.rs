@@ -24,8 +24,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 use uot_core::trace::TraceEventKind;
 use uot_core::{
-    Engine, EngineConfig, ExecMode, FusionPolicy, JoinType, PlanBuilder, QueryPlan, Source,
-    TraceConfig, Uot,
+    Engine, EngineConfig, ExecMode, FusionPolicy, JoinType, PlanBuilder, QueryPlan, Source, Uot,
 };
 use uot_expr::{cmp, col, lit, AggSpec, CmpOp};
 use uot_storage::{BlockFormat, Catalog, DataType, Schema, Table, TableBuilder, Value};
@@ -307,7 +306,7 @@ proptest! {
                 let plain = Engine::new(cfg.clone())
                     .execute(build_plan(&spec))
                     .unwrap();
-                let traced = Engine::new(cfg.tracing(TraceConfig::default()))
+                let traced = Engine::new(cfg.traced())
                     .execute(build_plan(&spec))
                     .unwrap();
 

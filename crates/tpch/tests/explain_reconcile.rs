@@ -6,7 +6,7 @@
 //! metrics, so any disagreement means double counting or dropped events
 //! somewhere in the scheduler's accounting.
 
-use uot_core::{Engine, EngineConfig, ExecMode, Source, TraceConfig, TraceEventKind, Uot};
+use uot_core::{Engine, EngineConfig, ExecMode, Source, TraceEventKind, Uot};
 use uot_storage::BlockFormat;
 use uot_tpch::{build_query, sql_text, QueryId, TpchConfig, TpchDb};
 
@@ -111,7 +111,7 @@ fn explain_reconciles_across_queries_modes_and_uots() {
             for uot in [Uot::Blocks(1), Uot::Blocks(4), Uot::Table] {
                 let cfg = EngineConfig {
                     mode,
-                    trace: Some(TraceConfig::default()),
+                    trace: true,
                     ..EngineConfig::default()
                 }
                 .with_block_bytes(8 * 1024)

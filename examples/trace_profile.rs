@@ -14,7 +14,7 @@
 //!   time distributions printed below).
 
 use uot::engine::obs::{chrome_trace_json, operator_time_shares, uot_timelines};
-use uot::engine::{Engine, EngineConfig, TraceConfig, Uot};
+use uot::engine::{Engine, EngineConfig, Uot};
 use uot::storage::BlockFormat;
 use uot::tpch::{build_query, QueryId, TpchConfig, TpchDb};
 
@@ -41,7 +41,7 @@ fn main() {
             EngineConfig::parallel(4)
                 .with_block_bytes(16 * 1024)
                 .with_uot(uot)
-                .tracing(TraceConfig::default()),
+                .traced(),
         );
         let result = engine.execute(plan).expect("Q5 runs");
         let trace = result.trace.as_ref().expect("tracing was enabled");

@@ -32,8 +32,7 @@ pub mod prelude {
         CacheStats, CancellationToken, DegradePolicy, Engine, EngineConfig, EngineError, ExecMode,
         ExecOptions, ExplainAnalyze, FaultKind, FaultPlan, FaultSite, FusionPolicy, HubCounter,
         HubHistogram, HubSnapshot, Injection, MetricsHub, PlanCacheOutcome, PlanError, QueryHandle,
-        QueryId, QueryPlan, QueryResult, QueryService, ServiceConfig, Trace, TraceConfig, Uot,
-        WatchdogConfig,
+        QueryId, QueryPlan, QueryResult, QueryService, ServiceConfig, Trace, Uot, WatchdogConfig,
     };
     pub use uot_storage::{
         date_from_ymd, BlockFormat, Catalog, DataType, Schema, Table, TableBuilder, Value,

@@ -7,7 +7,7 @@
 use std::collections::HashMap;
 
 use uot::engine::obs::chrome_trace_json;
-use uot::engine::{Engine, EngineConfig, TraceConfig, Uot};
+use uot::engine::{Engine, EngineConfig, Uot};
 use uot::storage::BlockFormat;
 use uot::tpch::{build_query, QueryId, TpchConfig, TpchDb};
 
@@ -248,7 +248,7 @@ fn traced_q3() -> uot::engine::QueryResult {
         EngineConfig::parallel(2)
             .with_block_bytes(8 * 1024)
             .with_uot(Uot::LOW)
-            .tracing(TraceConfig::default()),
+            .traced(),
     )
     .execute(plan)
     .expect("Q3 runs")
